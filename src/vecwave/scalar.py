@@ -1,9 +1,10 @@
 """Scalar orthonormal wavelets on dyadic grids.
 
 Compactly supported orthonormal wavelet filters (Haar and the minimal-phase
-Daubechies family), exact evaluation of the scaling function and wavelet on
-dyadic grids by cascade refinement, and left-endpoint quadrature for inner
-products and moments of the sampled functions.
+Daubechies family, from tabulated float64 taps), exact evaluation of the
+scaling function and wavelet on dyadic grids by cascade refinement, and
+left-endpoint quadrature for inner products and moments of the sampled
+functions.
 
 Conventions
 -----------
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._daubechies_taps import DAUBECHIES_H
 from .errors import ResolutionError
 
 SQRT2 = math.sqrt(2.0)
@@ -117,83 +119,18 @@ def haar_filter() -> ScalarFilter:
     return ScalarFilter("haar", h, 0, g, g_start, 1)
 
 
-def _polish_high_moments(h: np.ndarray, N: int) -> np.ndarray:
-    """Nudge float64 filter coefficients to restore high-order moment decay.
-
-    Rounding a length-2N filter to float64 perturbs the wavelet moment sums
-    by up to ``ulp * k**p``, which for N >= 9 exceeds the coefficients' own
-    accuracy by orders of magnitude.  Two stages repair this within the float
-    lattice: a least-squares step against exactly-computed residuals, then an
-    integer search over ulp-sized nudges on the columns whose moment step is
-    comparable to the remaining residual.  Coefficients move by at most a few
-    ulp, so the filter axioms are untouched at the 1e-15 scale.
-    """
-    L = len(h)
-    g_start = 2 - L
-
-    def moments_of(hh):
-        g, _ = _qmf_pair(hh)
-        return _exact_wavelet_moments(g, g_start, N)
-
-    # Sensitivity of moment p to h[j]: g[L-1-j] = (-1)**(L-1-j) * h[j].
-    A = np.zeros((N, L))
-    for j in range(L):
-        i = L - 1 - j
-        A[:, j] = [(-1.0) ** i * float(g_start + i) ** p for p in range(N)]
-
-    best_w, best_h = np.inf, h.copy()
-    cur = h.copy()
-    for _ in range(8):
-        m = np.array([float(x) for x in moments_of(cur)])
-        w = np.max(np.abs(m))
-        if w < best_w:
-            best_w, best_h = w, cur.copy()
-        delta, *_ = np.linalg.lstsq(A, -m, rcond=None)
-        nxt = cur + delta
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    h = best_h
-    if best_w <= 1e-11:
-        return h
-
-    # Columns whose single-ulp step on the top moment is below the residual
-    # form a ladder fine enough to cancel it; six suffice in practice.
-    base = np.array([float(x) for x in moments_of(h)])
-    steps = sorted(
-        (np.spacing(abs(h[j])) * abs(g_start + L - 1 - j) ** (N - 1), j)
-        for j in range(L)
-    )
-    cols = [j for s, j in steps if 0 < s <= 1.5 * best_w][-6:]
-    qmax = 5
-    incr = np.zeros((len(cols), N))
-    for c, j in enumerate(cols):
-        i = L - 1 - j
-        u = np.spacing(abs(h[j]))
-        incr[c] = [(-1.0) ** i * u * float(g_start + i) ** p for p in range(N)]
-    grids = np.meshgrid(*([np.arange(-qmax, qmax + 1)] * len(cols)), indexing="ij")
-    Q = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    worst = np.max(np.abs(Q @ incr + base), axis=1)
-    qbest = Q[int(np.argmin(worst))]
-    out = h.copy()
-    for q, j in zip(qbest, cols):
-        out[j] += q * np.spacing(abs(h[j]))
-    if max(abs(float(x)) for x in moments_of(out)) < best_w:
-        return out
-    return h
-
-
 _daub_cache: dict[int, ScalarFilter] = {}
 
 
 def daubechies_filter(N: int) -> ScalarFilter:
     """Minimal-phase Daubechies filter with ``N`` vanishing moments.
 
-    Computed by spectral factorization of the Daubechies moment polynomial:
-    the roots are extracted in high precision (mpmath), the factor with all
-    roots outside the unit circle is kept, multiplied by ``(1+z)**N`` and
-    normalized to ``sum(h) == sqrt(2)``.  The result is rounded to float64
-    once, at the very end.  ``N = 1`` coincides with :func:`haar_filter`.
+    The taps are a table of float64 values, stored as ``float.hex`` strings
+    in :mod:`vecwave._daubechies_taps`: the filters of Daubechies, *Ten
+    Lectures on Wavelets* (1992), Table 6.1, as ``tools/gen_daubechies.py``
+    computes them by high-precision spectral factorization of the Daubechies
+    moment polynomial.  The package never runs that script.  ``N = 1``
+    coincides with :func:`haar_filter`.
 
     Parameters
     ----------
@@ -211,33 +148,7 @@ def daubechies_filter(N: int) -> ScalarFilter:
         _daub_cache[N] = filt
         return filt
 
-    import mpmath as mp
-
-    with mp.workdps(60):
-        # Moment polynomial P(y) = sum_{k<N} C(N-1+k, k) y^k, roots in y.
-        coeffs = [mp.binomial(N - 1 + k, k) for k in range(N)]
-        yroots = mp.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
-        # Map each y-root to the z-root of modulus > 1 under
-        # y = (2 - z - 1/z)/4 and accumulate q(z) = prod (z - z_i).
-        q = [mp.mpf(1)]
-        for y in yroots:
-            c = 1 - 2 * y
-            part = 2 * mp.sqrt(y * (y - 1))
-            z1 = c + part
-            if abs(z1) < 1:
-                z1 = c - part
-            q = _poly_mul(q, [mp.mpf(1), -z1])
-        # Multiply by (1 + z)^N.
-        for _ in range(N):
-            q = _poly_mul(q, [mp.mpf(1), mp.mpf(1)])
-        q = [mp.re(c) for c in q]
-        total = mp.fsum(q)
-        scale = mp.sqrt(2) / total
-        h_mp = [c * scale for c in reversed(q)]
-        h = np.array([float(c) for c in h_mp])
-
-    if N >= 7:
-        h = _polish_high_moments(h, N)
+    h = np.array([float.fromhex(tap) for tap in DAUBECHIES_H[N]])
     g, g_start = _qmf_pair(h)
     filt = ScalarFilter(f"db{N}", h, 0, g, g_start, N)
     dev = filter_deviations(filt)
@@ -245,14 +156,6 @@ def daubechies_filter(N: int) -> ScalarFilter:
         raise RuntimeError(f"db{N} factorization failed axioms: {dev}")
     _daub_cache[N] = filt
     return filt
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def filter_by_name(name: str) -> ScalarFilter:
@@ -328,11 +231,16 @@ def _phi_table(filt: ScalarFilter, J: int) -> np.ndarray:
 
     Index p holds ``phi(p * 2**-J)``.  Even indices at each refinement are
     copied from the previous level, so restriction to a coarser grid is
-    bitwise exact.
+    bitwise exact, and refinement resumes from the finest cached coarser
+    level instead of the integer grid.
     """
     L = filt.length
-    vals = _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
-    for j in range(J):
+    coarser = [j for j in _cached_levels(filt, "scaling") if j < J]
+    if coarser:
+        j0, vals = coarser[-1], _table_cache[(filt.name, "scaling", coarser[-1])]
+    else:
+        j0, vals = 0, _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
+    for j in range(j0, J):
         n_new = (L - 1) * 2 ** (j + 1)
         new = np.zeros(n_new)
         new[0::2] = vals
@@ -351,7 +259,7 @@ def _psi_table(filt: ScalarFilter, J: int) -> np.ndarray:
     """Wavelet values on the level-J grid over [1 - L/2, L/2)."""
     L = filt.length
     jp = max(J - 1, 0)
-    phi = _phi_table(filt, jp)
+    phi = _table(filt, "scaling", jp)
     n = (L - 1) * 2**J
     p = np.arange(n) + (1 - L // 2) * 2**J
     out = np.zeros(n)
@@ -369,16 +277,32 @@ def _psi_table(filt: ScalarFilter, J: int) -> np.ndarray:
 _table_cache: dict[tuple[str, str, int], np.ndarray] = {}
 
 
+def _cached_levels(filt: ScalarFilter, which: str) -> list[int]:
+    """Grid levels of the cached tables of one function, ascending."""
+    return sorted(j for name, w, j in _table_cache if name == filt.name and w == which)
+
+
 def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
+    """Cached level-J table of the scaling function or wavelet.
+
+    A finer cached table is restricted instead of computing the level again:
+    the refinement and the wavelet sum form the same products in the same
+    order at shared grid points, so restriction is bitwise exact.
+    """
+    if which not in ("scaling", "wavelet"):
+        raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
     key = (filt.name, which, J)
     if key not in _table_cache:
-        if which == "scaling":
-            _table_cache[key] = _phi_table(filt, J)
-        elif which == "wavelet":
-            _table_cache[key] = _psi_table(filt, J)
+        finer = [j for j in _cached_levels(filt, which) if j > J]
+        if finer:
+            fine = _table_cache[(filt.name, which, finer[0])]
+            table = fine[:: 2 ** (finer[0] - J)].copy()
+        elif which == "scaling":
+            table = _phi_table(filt, J)
         else:
-            raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
-        _table_cache[key].flags.writeable = False
+            table = _psi_table(filt, J)
+        table.flags.writeable = False
+        _table_cache[key] = table
     return _table_cache[key]
 
 
@@ -416,6 +340,9 @@ def refine_sample(filt: ScalarFilter, which: str, J: int) -> SampledFunction:
     return SampledFunction(support_start(filt, which) * 2**J, J, vals)
 
 
+_scaled_cache: dict[tuple[str, str, int, int], np.ndarray] = {}
+
+
 def scaled_atom_sample(
     filt: ScalarFilter, which: str, scale: int, k: int, J: int
 ) -> SampledFunction:
@@ -423,16 +350,20 @@ def scaled_atom_sample(
 
     ``atom`` is the scaling function or the wavelet per ``which``.  Requires
     ``J >= scale`` so the dilated function still lands on grid points
-    exactly.
+    exactly.  The values do not depend on ``k``, so every translate shares
+    one cached array.
     """
     if J < scale:
         raise ResolutionError(
             f"grid level {J} too coarse for atom at scale {scale}"
         )
-    table = _table(filt, which, J - scale)
-    amp = 2.0 ** (scale / 2.0)
     start = (support_start(filt, which) + k) * 2 ** (J - scale)
-    return SampledFunction(start, J, amp * table)
+    key = (filt.name, which, scale, J)
+    if key not in _scaled_cache:
+        values = 2.0 ** (scale / 2.0) * _table(filt, which, J - scale)
+        values.flags.writeable = False
+        _scaled_cache[key] = values
+    return SampledFunction(start, J, _scaled_cache[key])
 
 
 def quad_inner(f: SampledFunction, g: SampledFunction) -> float:

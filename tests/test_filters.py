@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vecwave
+from vecwave import _daubechies_taps
 from vecwave.scalar import (
     ScalarFilter,
     daubechies_filter,
@@ -13,6 +19,8 @@ from vecwave.scalar import (
 )
 
 ALL_NAMES = ["haar"] + [f"db{N}" for N in range(1, 11)]
+
+GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "gen_daubechies.py"
 
 
 def test_haar_values():
@@ -116,3 +124,41 @@ def test_filter_arrays_frozen():
 def test_mismatched_pair_rejected():
     with pytest.raises(ValueError):
         ScalarFilter("bad", np.ones(4), 0, np.ones(2), 0, 1)
+
+
+def test_taps_table_matches_generator():
+    """The tabulated db2..db10 taps are bit for bit what the spectral
+    factorization in tools/gen_daubechies.py prints."""
+    pytest.importorskip("mpmath")
+    # A child process keeps the generator's ~0.5 GB peak out of this one.
+    out = subprocess.run(
+        [sys.executable, str(GENERATOR)],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert out == Path(_daubechies_taps.__file__).read_text()
+
+
+def test_cold_construction_skips_factorization():
+    """A fresh process builds db2..db10 without importing mpmath and with a
+    peak resident size far below the ~470 MB the factorization needed."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    # VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
+    # ru_maxrss across exec, so the child would report this test process.
+    code = (
+        "import sys, vecwave\n"
+        "for N in range(2, 11):\n"
+        "    vecwave.filter_by_name(f'db{N}')\n"
+        "hwm = next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))\n"
+        "print('mpmath' in sys.modules, int(hwm.split()[1]) * 1024 / 1e6)\n"
+    )
+    src = str(Path(vecwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    loaded, peak_mb = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert loaded == "False"
+    assert float(peak_mb) < 150

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vecwave import scalar
 from vecwave.errors import FileFormatError, ResolutionError
 from vecwave.scalar import (
     daubechies_filter,
@@ -192,3 +193,28 @@ def test_grid_positions():
     w = refine_sample(haar_filter(), "wavelet", 2)
     assert_allclose(w.grid(), [0.0, 0.25, 0.5, 0.75], rtol=0, atol=0)
     assert w.step == 0.25
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "db7", "db10"])
+def test_tables_independent_of_request_order(name, monkeypatch):
+    """Tables restricted from finer cached ones or refined from coarser ones
+    equal, byte for byte, a build from scratch with an empty cache."""
+    filt = filter_by_name(name)
+    cache = {}
+    monkeypatch.setattr(scalar, "_table_cache", cache)
+    levels = [0, 1, 2, 3, 5, 7, 9, 10, 11]
+    requests = [(which, J) for J in levels for which in ("scaling", "wavelet")]
+    fresh = {}
+    for which, J in requests:
+        cache.clear()
+        fresh[which, J] = refine_sample(filt, which, J).values.tobytes()
+    # ascending resumes refinement, descending restricts, shuffled mixes both
+    shuffled = list(requests)
+    np.random.default_rng(0).shuffle(shuffled)
+    for order in (requests, requests[::-1], shuffled):
+        cache.clear()
+        for which, J in order:
+            values = refine_sample(filt, which, J).values
+            # strided views could take another summation path in np.dot
+            assert values.flags.c_contiguous
+            assert values.tobytes() == fresh[which, J], (which, J)
