@@ -237,7 +237,7 @@ def _phi_table(filt: ScalarFilter, J: int) -> np.ndarray:
     L = filt.length
     coarser = [j for j in _cached_levels(filt, "scaling") if j < J]
     if coarser:
-        j0, vals = coarser[-1], _table_cache[(filt.name, "scaling", coarser[-1])]
+        j0, vals = coarser[-1], _table_cache[(_filter_key(filt), "scaling", coarser[-1])]
     else:
         j0, vals = 0, _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
     for j in range(j0, J):
@@ -274,12 +274,22 @@ def _psi_table(filt: ScalarFilter, J: int) -> np.ndarray:
     return out
 
 
-_table_cache: dict[tuple[str, str, int], np.ndarray] = {}
+def _filter_key(filt: ScalarFilter) -> tuple:
+    """Cache identity of a filter: its name, taps and offsets.
+
+    The name alone would let a filter built with a builtin name but other
+    taps read the builtin's cached samples.
+    """
+    return (filt.name, filt.h.tobytes(), filt.h_start, filt.g.tobytes(), filt.g_start)
+
+
+_table_cache: dict[tuple[tuple, str, int], np.ndarray] = {}
 
 
 def _cached_levels(filt: ScalarFilter, which: str) -> list[int]:
     """Grid levels of the cached tables of one function, ascending."""
-    return sorted(j for name, w, j in _table_cache if name == filt.name and w == which)
+    fkey = _filter_key(filt)
+    return sorted(j for k, w, j in _table_cache if k == fkey and w == which)
 
 
 def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
@@ -291,11 +301,11 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
     """
     if which not in ("scaling", "wavelet"):
         raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
-    key = (filt.name, which, J)
+    key = (_filter_key(filt), which, J)
     if key not in _table_cache:
         finer = [j for j in _cached_levels(filt, which) if j > J]
         if finer:
-            fine = _table_cache[(filt.name, which, finer[0])]
+            fine = _table_cache[(key[0], which, finer[0])]
             table = fine[:: 2 ** (finer[0] - J)].copy()
         elif which == "scaling":
             table = _phi_table(filt, J)
@@ -340,7 +350,7 @@ def refine_sample(filt: ScalarFilter, which: str, J: int) -> SampledFunction:
     return SampledFunction(support_start(filt, which) * 2**J, J, vals)
 
 
-_scaled_cache: dict[tuple[str, str, int, int], np.ndarray] = {}
+_scaled_cache: dict[tuple[tuple, str, int, int], np.ndarray] = {}
 
 
 def scaled_atom_sample(
@@ -358,7 +368,7 @@ def scaled_atom_sample(
             f"grid level {J} too coarse for atom at scale {scale}"
         )
     start = (support_start(filt, which) + k) * 2 ** (J - scale)
-    key = (filt.name, which, scale, J)
+    key = (_filter_key(filt), which, scale, J)
     if key not in _scaled_cache:
         values = 2.0 ** (scale / 2.0) * _table(filt, which, J - scale)
         values.flags.writeable = False

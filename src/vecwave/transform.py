@@ -14,7 +14,16 @@ column lengths recorded in the band act as the validity mask.
 Every step is a periodized orthonormal filter pair, hence exactly
 orthogonal for any even length: analysis and synthesis invert each other
 to rounding error and energy is conserved.  With m = 1 the scheme
-degenerates bitwise to the classic scalar pyramid.
+degenerates bitwise to the classic scalar pyramid.  The steps are
+polyphase.  Analysis extends its input periodically once along the axis
+(not at all when no tap wraps, as for haar) and adds one stride-2 slice of
+it per tap.  In synthesis, tap i of a filter starting at offset s adds a
+contiguous slice of the periodically extended subband into the output
+samples of parity (s + i) % 2, so no product with an upsampling zero is
+formed.  Sums start from +0.0 and take the h taps in order, then the g
+taps; the products a zero-upsampled form adds on top are +-0.0, which
+change no such sum, so both steps match the textbook periodic filter bank
+bit for bit, signed zeros included.
 """
 
 from dataclasses import dataclass, replace
@@ -52,7 +61,7 @@ def _is_pow2(n) -> bool:
 
 @dataclass(frozen=True)
 class VectorSignal:
-    """An m-channel sample grid: shape (m, n) or (m, n, n) with dyadic n."""
+    """An m-channel sample grid of finite values: shape (m, n) or (m, n, n) with dyadic n."""
 
     values: np.ndarray
 
@@ -65,6 +74,8 @@ class VectorSignal:
         n = values.shape[1]
         if any(size != n for size in values.shape[1:]) or not _is_pow2(n):
             raise ValueError(f"space axes must share one power-of-two length, got {values.shape[1:]}")
+        if not np.isfinite(values).all():
+            raise ValueError("signal holds a NaN or infinite value")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -94,37 +105,52 @@ def _slices(ndim: int, axis: int, sl) -> tuple:
     return tuple(out)
 
 
+def _wrap(a: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
+    """Periodic extension of `a` along `axis` over the index window [lo, hi)."""
+    n = a.shape[axis]
+    if 0 <= lo and hi <= n:
+        return a[_slices(a.ndim, axis, slice(lo, hi))]
+    return np.take(a, np.arange(lo, hi) % n, axis=axis)
+
+
 def _axis_analyze_step(a: np.ndarray, filt: ScalarFilter, axis: int):
     n = a.shape[axis]
     if n % 2 or n < 2:
         raise ValueError(f"axis length must be even to step down, got {n}")
-    ev = _slices(a.ndim, axis, slice(0, None, 2))
+    lo = min(filt.h_start, filt.g_start)
+    ext = _wrap(a, lo, max(filt.h_start, filt.g_start) + filt.length + n - 2, axis)
     shape = list(a.shape)
     shape[axis] = n // 2
     approx = np.zeros(shape)
     detail = np.zeros(shape)
-    for i, hv in enumerate(filt.h):
-        approx += hv * np.roll(a, -(filt.h_start + i), axis=axis)[ev]
-    for i, gv in enumerate(filt.g):
-        detail += gv * np.roll(a, -(filt.g_start + i), axis=axis)[ev]
+    for acc, taps, start in ((approx, filt.h, filt.h_start), (detail, filt.g, filt.g_start)):
+        for i, c in enumerate(taps):
+            k = start + i - lo
+            acc += c * ext[_slices(a.ndim, axis, slice(k, k + n - 1, 2))]
     return approx, detail
 
 
 def _axis_synthesize_step(approx: np.ndarray, detail: np.ndarray, filt: ScalarFilter, axis: int):
-    if approx.shape != detail.shape:
-        raise ValueError(f"subband shapes differ: {approx.shape} vs {detail.shape}")
+    if approx.shape != detail.shape or approx.shape[axis] < 1:
+        raise ValueError(f"subbands must share one shape, not empty along the axis: {approx.shape} vs {detail.shape}")
+    half = approx.shape[axis]
     shape = list(approx.shape)
-    shape[axis] = 2 * shape[axis]
-    ev = _slices(approx.ndim, axis, slice(0, None, 2))
-    out = np.zeros(shape)
-    up = np.zeros(shape)
-    up[ev] = approx
-    for i, hv in enumerate(filt.h):
-        out += hv * np.roll(up, filt.h_start + i, axis=axis)
-    up = np.zeros(shape)
-    up[ev] = detail
-    for i, gv in enumerate(filt.g):
-        out += gv * np.roll(up, filt.g_start + i, axis=axis)
+    shape[axis] = 2 * half
+    out = np.empty(shape)
+    # tap i of a filter starting at s adds c * band[j - (s + i) // 2] to out[2j + (s + i) % 2]
+    bands = []
+    for band, taps, start in ((approx, filt.h, filt.h_start), (detail, filt.g, filt.g_start)):
+        top = (start + len(taps) - 1) // 2
+        bands.append((_wrap(band, -top, half - start // 2, axis), taps, start, top))
+    # one accumulator for both phases: a second large temporary costs page faults
+    acc = np.empty(approx.shape)
+    for r in (0, 1):
+        acc[...] = 0.0
+        for ext, taps, start, top in bands:
+            for i in range((start + r) % 2, len(taps), 2):
+                k = top - (start + i) // 2
+                acc += taps[i] * ext[_slices(ext.ndim, axis, slice(k, k + half))]
+        out[_slices(out.ndim, axis, slice(r, None, 2))] = acc
     return out
 
 
@@ -209,7 +235,7 @@ def idwt2_channel(approx: np.ndarray, shells, filt: ScalarFilter) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Band:
-    """One family's matrix coefficients at every translate.
+    """One family's finite matrix coefficients at every translate.
 
     values has shape (m, m, K1[, K2]): channel row, partition column,
     then one translate axis per space axis.  cols[r] describes column r
@@ -251,6 +277,8 @@ class Band:
                     raise ValueError(f"length {length} does not match scale {scale}")
                 if length > values.shape[2 + ax]:
                     raise ValueError(f"column length {length} exceeds translate axis {values.shape[2 + ax]}")
+        if not np.isfinite(values).all():
+            raise ValueError("band holds a NaN or infinite value")
         values.flags.writeable = False
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "cols", cols)
@@ -560,7 +588,10 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
     if len(payload) != expected:
         raise FileFormatError(f"payload holds {len(payload)} bytes, header implies {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape((m,) + (n,) * d)
-    return VectorSignal(values)
+    try:
+        return VectorSignal(values)
+    except ValueError as exc:
+        raise FileFormatError(f"invalid signal payload: {exc}") from exc
 
 
 def _partition_text(part: Partition) -> str:

@@ -225,6 +225,32 @@ def test_transform_inverse_wrong_manifest(tmp_path):
     assert rc == 2
 
 
+def test_transform_rejects_non_finite_inputs(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=1)
+    values = np.ones((2, 64))
+    values[1, 9] = np.nan
+    sig_path = tmp_path / "nan.vwav"
+    sig_path.write_bytes(b"VWAV1 d=1 m=2 n=64 dtype=f64le\n" + values.astype("<f8").tobytes())
+    out = tmp_path / "dec.vdec"
+    rc = main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+               "--out", str(out), "--levels", "1"])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+    good_path, _ = write_signal(tmp_path, 2, (64,))
+    assert main(["transform", "--in", str(good_path), "--manifest", str(manifest),
+                 "--out", str(out), "--levels", "1"]) == 0
+    blob = bytearray(out.read_bytes())
+    blob[-8:] = np.array([np.inf], dtype="<f8").tobytes()
+    out.write_bytes(bytes(blob))
+    rec = tmp_path / "rec.vwav"
+    rc = main(["transform", "--in", str(out), "--manifest", str(manifest),
+               "--out", str(rec), "--inverse"])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not rec.exists()
+
+
 def polyline_points(svg: str):
     start = svg.index('<polyline points="') + len('<polyline points="')
     pts = svg[start : svg.index('"', start)].split()

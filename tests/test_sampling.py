@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from vecwave import scalar
 from vecwave.errors import FileFormatError, ResolutionError
 from vecwave.scalar import (
+    ScalarFilter,
     daubechies_filter,
     filter_by_name,
     haar_filter,
@@ -218,3 +219,21 @@ def test_tables_independent_of_request_order(name, monkeypatch):
             # strided views could take another summation path in np.dot
             assert values.flags.c_contiguous
             assert values.tobytes() == fresh[which, J], (which, J)
+
+
+def test_caches_keyed_by_taps_not_name(monkeypatch):
+    """A filter that reuses a builtin name with other taps gets its own
+    samples, not the builtin's cached ones."""
+    monkeypatch.setattr(scalar, "_table_cache", {})
+    monkeypatch.setattr(scalar, "_scaled_cache", {})
+    db2, db3 = filter_by_name("db2"), filter_by_name("db3")
+    assert len(refine_sample(db2, "scaling", 3).values) == 24
+    scaled_atom_sample(db2, "wavelet", 1, 0, 3)
+    impostor = ScalarFilter("db2", db3.h, 0, db3.g, -4, 3)
+    table = refine_sample(impostor, "scaling", 3).values
+    assert len(table) == 40
+    assert table.tobytes() == refine_sample(db3, "scaling", 3).values.tobytes()
+    scaled = scaled_atom_sample(impostor, "wavelet", 1, 0, 3).values
+    assert scaled.tobytes() == scaled_atom_sample(db3, "wavelet", 1, 0, 3).values.tobytes()
+    # the builtin's entries are untouched by the impostor
+    assert len(refine_sample(db2, "scaling", 3).values) == 24

@@ -28,6 +28,7 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.transform import _axis_analyze_step, _axis_synthesize_step
 
 HAAR = filter_by_name("haar")
 DB2 = filter_by_name("db2")
@@ -71,6 +72,11 @@ def test_dwt_guards():
         dwt_channel(np.zeros((4, 4)), HAAR, 1)
 
 
+def test_idwt_rejects_empty_subbands():
+    with pytest.raises(ValueError, match="empty"):
+        idwt_channel(np.zeros(0), [np.zeros(0)], DB2)
+
+
 def test_dwt2_round_trip_and_energy():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((32, 32))
@@ -90,6 +96,69 @@ def test_dwt2_guards():
         dwt2_channel(np.zeros(8), HAAR, 1)
 
 
+# Reference periodic steps by modular fancy indexing, independent of the
+# kernel: analysis correlates and decimates, synthesis is its transpose.
+# Both start from zeros and add the h taps in order, then the g taps.
+
+
+def _oracle_analyze(x, taps, start, axis):
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    j = np.arange(n // 2)
+    acc = np.zeros(x.shape[:-1] + (n // 2,))
+    for i, c in enumerate(taps):
+        acc += c * x[..., (2 * j + start + i) % n]
+    return np.moveaxis(acc, -1, axis)
+
+
+def _oracle_synthesize(approx, detail, filt, axis):
+    approx, detail = np.moveaxis(approx, axis, -1), np.moveaxis(detail, axis, -1)
+    half = approx.shape[-1]
+    j = np.arange(half)
+    out = np.zeros(approx.shape[:-1] + (2 * half,))
+    for band, taps, start in ((approx, filt.h, filt.h_start), (detail, filt.g, filt.g_start)):
+        for i, c in enumerate(taps):
+            # one tap hits distinct output slots, so the fancy += is safe
+            out[..., (2 * j + start + i) % (2 * half)] += c * band
+    return np.moveaxis(out, -1, axis)
+
+
+def _with_signed_zeros(rng, shape):
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[rng.random(flat.size) < 0.2] = -0.0
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    return x
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert_array_equal(got, want)
+    assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{k}" for k in range(2, 11)])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_step_matches_modular_oracle(name, axis):
+    filt = filter_by_name(name)
+    rng = np.random.default_rng(7 + axis)
+    for n in (2, 4, 8, 64, 1024):
+        shape = [3, 2, 2]
+        shape[axis] = n
+        x = _with_signed_zeros(rng, shape)
+        approx, detail = _axis_analyze_step(x, filt, axis)
+        _assert_bitwise(approx, _oracle_analyze(x, filt.h, filt.h_start, axis))
+        _assert_bitwise(detail, _oracle_analyze(x, filt.g, filt.g_start, axis))
+        a, d = _with_signed_zeros(rng, approx.shape), _with_signed_zeros(rng, detail.shape)
+        _assert_bitwise(_axis_synthesize_step(a, d, filt, axis), _oracle_synthesize(a, d, filt, axis))
+        # all-negative-zero input: zero-start sums give +0.0 everywhere
+        z = np.full(shape, -0.0)
+        for band in _axis_analyze_step(z, filt, axis):
+            _assert_bitwise(band, np.zeros(band.shape))
+        zh = z[tuple(slice(0, s // 2 if ax == axis else s) for ax, s in enumerate(shape))]
+        _assert_bitwise(_axis_synthesize_step(zh, zh, filt, axis), np.zeros(shape))
+
+
 def test_vector_signal_validation():
     sig = VectorSignal(np.ones((3, 8)))
     assert (sig.m, sig.d, sig.n) == (3, 1, 8)
@@ -102,6 +171,43 @@ def test_vector_signal_validation():
         VectorSignal(np.ones(8))
     with pytest.raises(DimensionError):
         VectorSignal(np.ones((2, 4, 4, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_signal_rejects_non_finite(bad):
+    values = np.ones((2, 16, 16))
+    values[1, 3, 5] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        VectorSignal(values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_signal_bytes_rejects_non_finite(bad):
+    values = np.ones((2, 16))
+    values[0, 7] = bad
+    blob = b"VWAV1 d=1 m=2 n=16 dtype=f64le\n" + values.astype("<f8").tobytes()
+    with pytest.raises(FileFormatError, match="NaN or infinite"):
+        signal_from_bytes(blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_rejects_non_finite(bad):
+    dec = analyze_vector(VectorSignal(np.ones((2, 16))), build_vector_basis(DB2, 2), 1)
+    band = dec.bands[-1]
+    values = np.array(band.values)
+    values[0, 1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        replace(band, values=values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decomposition_bytes_rejects_non_finite(bad):
+    dec = analyze_vector(VectorSignal(np.ones((2, 16, 16))), build_basis_nd(DB2, 2, 2), 1)
+    blob = bytearray(decomposition_to_bytes(dec))
+    # overwrite the last payload value, a slot of the last band
+    blob[-8:] = np.array([bad], dtype="<f8").tobytes()
+    with pytest.raises(FileFormatError, match="NaN or infinite"):
+        decomposition_from_bytes(bytes(blob))
 
 
 def test_analyze_zero_signal():
