@@ -215,11 +215,6 @@ class Multiwavelet:
         return len(self.scaling)
 
 
-def _sample_component(filt: ScalarFilter, comp: Component, k: int, J: int):
-    """Sample comp translated by k in function argument: comp(x - k)."""
-    return scaled_atom_sample(filt, comp.kind, comp.scale, k * 2**comp.scale, J)
-
-
 def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
     """Unstack the vector basis into 2m scalar generator functions.
 
@@ -250,7 +245,7 @@ def _nesting_deviation(mw: Multiwavelet) -> float:
     J = max(c.scale for c in mw.scaling) + 2
     worst = 0.0
     for i, comp in enumerate(mw.scaling):
-        target = _sample_component(filt, comp, 0, J)
+        target = scaled_atom_sample(filt, comp.kind, comp.scale, 0, J)
         if comp.kind == "scaling" or comp.scale == 0:
             coeffs = filt.h if comp.kind == "scaling" else filt.g
             c_start = filt.h_start if comp.kind == "scaling" else filt.g_start
@@ -278,43 +273,66 @@ def _nesting_deviation(mw: Multiwavelet) -> float:
     return worst
 
 
+class FactorInnerCache:
+    """Memoized quadrature inner products of 1D scalar factors.
+
+    A key ``(kind, scale, shift)`` names the factor
+    ``2**(scale/2) atom(2**scale x - shift)``.  Each pair is measured on a
+    grid J levels finer than the larger of the two scales, so J is a
+    resolution margin and fine-scale factors are never undersampled.
+    """
+
+    def __init__(self, filt: ScalarFilter, J: int):
+        if J < 1:
+            raise ValueError(f"need a resolution margin J >= 1, got {J}")
+        self.filt = filt
+        self.J = J
+        self._samples = {}
+        self._inners = {}
+
+    def _quad(self, key_a, key_b) -> float:
+        grid = max(key_a[1], key_b[1]) + self.J
+        sa, sb = key_a + (grid,), key_b + (grid,)
+        for skey in (sa, sb):
+            if skey not in self._samples:
+                self._samples[skey] = scaled_atom_sample(self.filt, *skey)
+        return quad_inner(self._samples[sa], self._samples[sb])
+
+    def inner(self, key_a, key_b) -> float:
+        pair = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
+        if pair not in self._inners:
+            self._inners[pair] = self._quad(*pair)
+        return self._inners[pair]
+
+    def gram(self, keys: list) -> np.ndarray:
+        """Gram matrix of the listed keys, one quadrature per unordered pair.
+
+        Entry (p, q), p <= q, is measured in that order and mirrored; a key
+        listed twice gets two rows.
+        """
+        n = len(keys)
+        out = np.empty((n, n))
+        for p in range(n):
+            for q in range(p, n):
+                out[p, q] = out[q, p] = self._quad(keys[p], keys[q])
+        return out
+
+
 def translate_gram_deviation(mw: Multiwavelet, J: int = 8, k_range: int = 2) -> float:
     """How far the 2m generators are from translate-orthonormality.
 
     Every pair of generator translates with |k| <= k_range is measured
-    by quadrature on a grid J levels finer than the coarser-featured of
-    the two components, so J is a resolution margin and fine-scale
-    generators are never undersampled.  Returns the largest deviation
-    from the identity pairing.
+    by :meth:`FactorInnerCache.gram`, so J is a resolution margin and
+    fine-scale generators are never undersampled.  Returns the largest
+    deviation from the identity pairing.
     """
-    if J < 1:
-        raise ValueError(f"need a resolution margin J >= 1, got {J}")
-    filt = mw.filter
+    # One row per (slot, k), not per descriptor: duplicated generators must
+    # pair to zero, so they may not alias each other here.
     comps = tuple(mw.scaling) + tuple(mw.wavelets)
-    samples = {}
-
-    def sampled(slot: int, k: int, grid: int):
-        key = (slot, k, grid)
-        if key not in samples:
-            samples[key] = _sample_component(filt, comps[slot], k, grid)
-        return samples[key]
-
-    # Label by slot, not by descriptor: duplicated generators must pair to
-    # zero, so they may not alias each other here.
-    labels = [
-        (slot, k)
-        for slot in range(len(comps))
-        for k in range(-k_range, k_range + 1)
-    ]
-    worst = 0.0
-    for a_idx in range(len(labels)):
-        for b_idx in range(a_idx, len(labels)):
-            (sa, ka), (sb, kb) = labels[a_idx], labels[b_idx]
-            grid = max(comps[sa].scale, comps[sb].scale) + J
-            v = quad_inner(sampled(sa, ka, grid), sampled(sb, kb, grid))
-            want = 1.0 if labels[a_idx] == labels[b_idx] else 0.0
-            worst = max(worst, abs(v - want))
-    return worst
+    ks = range(-k_range, k_range + 1)
+    keys = [(c.kind, c.scale, k * 2**c.scale) for c in comps for k in ks]
+    gram = FactorInnerCache(mw.filter, J).gram(keys)
+    return float(np.max(np.abs(gram - np.eye(len(keys))), initial=0.0))
 
 
 def from_multiwavelet(mw: Multiwavelet, J: int = 8, tol: float = 1e-10) -> VectorBasis1D:

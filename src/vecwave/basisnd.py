@@ -13,11 +13,11 @@ from itertools import product
 
 import numpy as np
 
-from .basis1d import Multiwavelet, build_vector_basis, to_multiwavelet
+from .basis1d import FactorInnerCache, Multiwavelet, build_vector_basis, to_multiwavelet
 from .errors import SizeGuardError
-from .scalar import ScalarFilter, quad_inner, scaled_atom_sample
+from .scalar import ScalarFilter, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction
-from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, factor_component
+from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, factor_component
 
 
 @dataclass(frozen=True)
@@ -240,50 +240,33 @@ def sample_vector_atom_nd(
     return VectorSampledFunction(tuple(lo), J, values)
 
 
-class FactorInnerCache:
-    """Memoized quadrature inner products of 1D scalar factors.
+def _row_keys(atoms: list, mw: Multiwavelet) -> tuple:
+    """The sorted distinct (kind, scale, k) factor keys of the atoms' rows.
 
-    Keys are (kind, scale, k) descriptors.  Each pair is measured on a
-    grid J levels finer than the larger of the two scales, so J is a
-    resolution margin and fine-scale factors are never undersampled.
+    Returns ``(keys, idx)``: ``keys[idx[i, ia * m + r]]`` is the factor on
+    coordinate i of row r of atom ia.
     """
-
-    def __init__(self, filt: ScalarFilter, J: int):
-        if J < 1:
-            raise ValueError(f"need a resolution margin J >= 1, got {J}")
-        self.filt = filt
-        self.J = J
-        self._samples = {}
-        self._inners = {}
-
-    def _sample(self, key, grid: int):
-        skey = key + (grid,)
-        if skey not in self._samples:
-            kind, scale, k = key
-            self._samples[skey] = scaled_atom_sample(self.filt, kind, scale, k, grid)
-        return self._samples[skey]
-
-    def inner(self, key_a, key_b) -> float:
-        if key_b < key_a:
-            key_a, key_b = key_b, key_a
-        pair = (key_a, key_b)
-        if pair not in self._inners:
-            grid = max(key_a[1], key_b[1]) + self.J
-            self._inners[pair] = quad_inner(
-                self._sample(key_a, grid), self._sample(key_b, grid)
-            )
-        return self._inners[pair]
+    rows = [
+        [(*factor_component(mw, e, a, atom.j), k) for e, a, k in zip(atom.eps, row, atom.k)]
+        for atom in atoms
+        for row in atom.rows
+    ]
+    keys = sorted({key for row in rows for key in row})
+    pos = {key: n for n, key in enumerate(keys)}
+    return keys, np.array([[pos[key] for key in row] for row in rows], dtype=np.intp).T
 
 
-def _factor_keys(atom: VectorAtomND, mw: Multiwavelet) -> list:
-    keys = []
-    for row in atom.rows:
-        row_keys = []
-        for i in range(atom.d):
-            comp = factor_component(mw, atom.eps[i], row[i], atom.j)
-            row_keys.append((comp.kind, comp.scale, atom.k[i]))
-        keys.append(row_keys)
-    return keys
+def _star_product(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (p, q) is the product over coordinates i of gram[rows[i, p], cols[i, q]].
+
+    Factors multiply in coordinate order, and an entry stops at its first
+    zero, signed zero and all, like ``v = 1.0; v *= g_i`` with an early
+    exit on zero.
+    """
+    out = gram[rows[0]][:, cols[0]]
+    for r, c in zip(rows[1:], cols[1:]):
+        np.multiply(out, gram[r][:, c], out=out, where=out != 0.0)
+    return out
 
 
 def star_nd_separable(
@@ -298,19 +281,13 @@ def star_nd_separable(
     products, so the full matrix costs m^2 * d cached lookups instead of
     a dense d-dimensional quadrature.
     """
-    keys_a = _factor_keys(atom_a, basis.mw)
-    keys_b = _factor_keys(atom_b, basis.mw)
-    m = atom_a.m
-    out = np.empty((m, m))
-    for r in range(m):
-        for rp in range(m):
-            v = 1.0
-            for i in range(atom_a.d):
-                v *= cache.inner(keys_a[r][i], keys_b[rp][i])
-                if v == 0.0:
-                    break
-            out[r, rp] = v
-    return MatrixM(out)
+    keys, idx = _row_keys([atom_a, atom_b], basis.mw)
+    rows, cols = idx[:, : atom_a.m], idx[:, atom_a.m :]
+    gram = np.zeros((len(keys), len(keys)))
+    for r, c in zip(rows, cols):
+        for p, q in product(r, c):
+            gram[p, q] = cache.inner(keys[p], keys[q])
+    return MatrixM(_star_product(gram, rows, cols))
 
 
 def catalog_atoms(basis: BasisND, max_level: int, k_range: int) -> list:
@@ -329,34 +306,38 @@ def catalog_atoms(basis: BasisND, max_level: int, k_range: int) -> list:
     return atoms
 
 
+def catalog_rows(d: int, m: int, max_level: int, k_range: int) -> int:
+    """Atom rows N * m of ``catalog_atoms`` at these sizes, by arithmetic."""
+    families = m ** (d - 1) * (1 + (2**d - 1) * max(max_level + 1, 0))
+    return families * max(2 * k_range + 1, 0) ** d * m
+
+
+# The sweep holds about two blocks of this many bytes at a time.
+_SWEEP_BLOCK_BYTES = 1 << 20
+
+
 def catalog_star_deviation(
     basis: BasisND, max_level: int, k_range: int, J: int
 ) -> float:
     """Largest deviation of pairwise star products from delta * identity.
 
-    Runs over every ordered catalog pair using the separable fast path;
-    distinct atoms must pair to the zero matrix, each atom to identity.
-    J is the per-factor resolution margin (see FactorInnerCache).
+    Distinct atoms must pair to the zero matrix, each atom to identity.
+    The (N m) x (N m) star matrix is gathered in blocks of rows from one
+    Gram matrix of the catalog's distinct factor keys; J is the per-factor
+    resolution margin (see FactorInnerCache).
     """
-    atoms = catalog_atoms(basis, max_level, k_range)
-    cache = FactorInnerCache(basis.mw.filter, J)
-    keys = [_factor_keys(a, basis.mw) for a in atoms]
-    m, d = basis.m, basis.d
+    n = catalog_rows(basis.d, basis.m, max_level, k_range)
+    if n > MAX_SWEEP_ROWS:
+        raise SizeGuardError(f"gram sweep guard is {MAX_SWEEP_ROWS} atom rows, got {n}")
+    keys, idx = _row_keys(catalog_atoms(basis, max_level, k_range), basis.mw)
+    gram = FactorInnerCache(basis.mw.filter, J).gram(keys)
+    step = max(1, _SWEEP_BLOCK_BYTES // (8 * max(n, 1)))
     worst = 0.0
-    for ia in range(len(atoms)):
-        for ib in range(ia, len(atoms)):
-            same = ia == ib
-            for r in range(m):
-                for rp in range(m):
-                    v = 1.0
-                    for i in range(d):
-                        v *= cache.inner(keys[ia][r][i], keys[ib][rp][i])
-                        if v == 0.0:
-                            break
-                    want = 1.0 if same and r == rp else 0.0
-                    dev = abs(v - want)
-                    if dev > worst:
-                        worst = dev
+    # The star matrix is symmetric, so each block starts at its diagonal.
+    for lo in range(0, n, step):
+        block = _star_product(gram, idx[:, lo : lo + step], idx[:, lo:])
+        np.fill_diagonal(block, block.diagonal() - 1.0)
+        worst = max(worst, float(np.max(np.abs(block, out=block))))
     return worst
 
 

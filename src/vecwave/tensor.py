@@ -25,6 +25,8 @@ MAX_ENUM_D = 6
 MAX_ENUM_M = 4
 MAX_SAMPLE_D = 3
 MAX_GRAM_ATOMS = 512
+# atom rows N * m of the catalog star sweep; every d <= 3 catalog fits
+MAX_SWEEP_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,16 @@ class Band:
     def __post_init__(self):
         eps = tuple(int(b) for b in self.eps)
         cols = tuple(tuple((str(k), int(s), int(ln)) for k, s, ln in col) for col in self.cols)
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        # a read-only float array that owns its memory cannot change under
+        # the band, so it is kept; anything else is copied
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and values.flags.owndata
+            and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=float)
         d = values.ndim - 2
         if d not in (1, 2):
             raise ValueError(f"band values must have 1 or 2 translate axes, got shape {values.shape}")
@@ -382,6 +391,7 @@ def _pack_band(key, eps, level, block_idx, rows, pieces, m, s0, d):
     for rho, arr in enumerate(arrays):
         sl = (slice(None), rho) + tuple(slice(0, length) for length in arr.shape[1:])
         values[sl] = arr
+    values.flags.writeable = False
     return Band(key, eps, level, block_idx, tuple(cols), values)
 
 
@@ -545,19 +555,25 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
     bands = []
     for band in dec.bands:
         if band.level >= 0:
-            col_idx = list(range(band.m))
+            cols = slice(None)
         else:
-            col_idx = [r for r, col in enumerate(band.cols) if any(kind == "detail" for kind, _, _ in col)]
-        if not col_idx:
-            bands.append(band)
-            continue
-        values = np.array(band.values)
-        sub = values[:, col_idx]
+            cols = [r for r, col in enumerate(band.cols) if any(kind == "detail" for kind, _, _ in col)]
+            if not cols:
+                bands.append(band)
+                continue
+        sub = band.values[:, cols]
         if norm == "frobenius":
             norms = np.sqrt(np.sum(sub**2, axis=(0, 1)))
         else:
             norms = np.max(np.sum(np.abs(sub), axis=0), axis=0)
-        values[:, col_idx] = sub * np.where(norms < tau, 0.0, 1.0)
+        # the product, not a mask, so a zeroed negative stays -0.0
+        kept = sub * np.where(norms < tau, 0.0, 1.0)
+        if band.level >= 0:
+            values = kept
+        else:
+            values = np.array(band.values)
+            values[:, cols] = kept
+        values.flags.writeable = False
         bands.append(replace(band, values=values))
     return replace(dec, bands=tuple(bands))
 
@@ -573,7 +589,7 @@ _DEC_RE = re.compile(
 
 def signal_to_bytes(signal: VectorSignal) -> bytes:
     header = f"VWAV1 d={signal.d} m={signal.m} n={signal.n} dtype=f64le\n"
-    return header.encode("ascii") + signal.values.astype("<f8").tobytes()
+    return b"".join([header.encode("ascii"), np.ascontiguousarray(signal.values, dtype="<f8")])
 
 
 def signal_from_bytes(data: bytes) -> VectorSignal:
@@ -583,7 +599,7 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
     d, m, n = (int(match.group(i)) for i in (1, 2, 3))
     if m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid signal geometry d={d} m={m} n={n}")
-    payload = data[match.end():]
+    payload = memoryview(data)[match.end():]
     expected = 8 * m * n**d
     if len(payload) != expected:
         raise FileFormatError(f"payload holds {len(payload)} bytes, header implies {expected}")
@@ -616,8 +632,11 @@ def decomposition_manifest(dec: VectorDecomposition) -> str:
 
 
 def decomposition_to_bytes(dec: VectorDecomposition) -> bytes:
-    payload = b"".join(band.values.astype("<f8").tobytes() for band in dec.bands)
-    return decomposition_manifest(dec).encode("ascii") + payload
+    # one join copies each band once, straight from its buffer
+    return b"".join(
+        [decomposition_manifest(dec).encode("ascii")]
+        + [np.ascontiguousarray(band.values, dtype="<f8") for band in dec.bands]
+    )
 
 
 def _parse_band_line(line: str, d: int, m: int):
@@ -684,7 +703,8 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
 
-    payload = data[pos:]
+    # slices of a memoryview copy nothing; each band is copied once, by Band
+    payload = memoryview(data)[pos:]
     offset = 0
     bands = []
     seen = set()

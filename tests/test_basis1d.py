@@ -378,3 +378,59 @@ def test_generator_cross_scale_orthogonality():
         assert quad_inner(samples[i], samples[i]) == pytest.approx(1.0, abs=1e-12)
         for j in range(i + 1, 4):
             assert abs(quad_inner(samples[i], samples[j])) <= 1e-12
+
+
+# The per-pair loop form that the Gram table replaced, kept verbatim as a
+# bitwise reference.
+def _loop_translate_gram_deviation(mw, J=8, k_range=2):
+    if J < 1:
+        raise ValueError(f"need a resolution margin J >= 1, got {J}")
+    filt = mw.filter
+    comps = tuple(mw.scaling) + tuple(mw.wavelets)
+    samples = {}
+
+    def sampled(slot, k, grid):
+        key = (slot, k, grid)
+        if key not in samples:
+            comp = comps[slot]
+            samples[key] = scaled_atom_sample(
+                filt, comp.kind, comp.scale, k * 2**comp.scale, grid
+            )
+        return samples[key]
+
+    labels = [
+        (slot, k)
+        for slot in range(len(comps))
+        for k in range(-k_range, k_range + 1)
+    ]
+    worst = 0.0
+    for a_idx in range(len(labels)):
+        for b_idx in range(a_idx, len(labels)):
+            (sa, ka), (sb, kb) = labels[a_idx], labels[b_idx]
+            grid = max(comps[sa].scale, comps[sb].scale) + J
+            v = quad_inner(sampled(sa, ka, grid), sampled(sb, kb, grid))
+            want = 1.0 if labels[a_idx] == labels[b_idx] else 0.0
+            worst = max(worst, abs(v - want))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "db10"])
+def test_translate_gram_matches_loop_bitwise(name):
+    for m in (1, 2, 3):
+        mw = to_multiwavelet(build_vector_basis(filter_by_name(name), m))
+        for J, k_range in ((8, 2), (10, 2), (8, 0), (8, -1)):
+            got = translate_gram_deviation(mw, J=J, k_range=k_range)
+            assert got.hex() == _loop_translate_gram_deviation(mw, J, k_range).hex()
+
+
+def test_translate_gram_keeps_duplicated_generators_apart():
+    # Rows are slots, not descriptors: the two copies of phi pair to 1
+    # where 0 is wanted.
+    mw = Multiwavelet(
+        haar_filter(),
+        (Component("scaling", 0), Component("scaling", 0)),
+        (Component("wavelet", 1), Component("wavelet", 2)),
+    )
+    got = translate_gram_deviation(mw)
+    assert got == 1.0
+    assert got.hex() == _loop_translate_gram_deviation(mw).hex()

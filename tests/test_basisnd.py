@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import vecwave
+from vecwave import basisnd
 from vecwave.basisnd import (
     FactorInnerCache,
     Partition,
@@ -9,6 +17,7 @@ from vecwave.basisnd import (
     build_basis_nd,
     catalog_atoms,
     catalog_manifest,
+    catalog_rows,
     catalog_star_deviation,
     catalog_2x2,
     cyclic_partition,
@@ -18,8 +27,9 @@ from vecwave.basisnd import (
     star_nd_separable,
 )
 from vecwave.errors import ResolutionError, SizeGuardError
-from vecwave.scalar import filter_by_name, haar_filter
+from vecwave.scalar import filter_by_name, haar_filter, quad_inner, scaled_atom_sample
 from vecwave.star import star
+from vecwave.tensor import MAX_ENUM_M, MAX_SWEEP_ROWS, factor_component
 
 from itertools import product
 from math import comb
@@ -231,3 +241,217 @@ def test_manifest_m1():
     lines = catalog_manifest(b).splitlines()
     assert lines[1] == "family=Phi1 eps=0 block=0 rows=1"
     assert lines[2] == "family=Psi1 eps=1 block=0 rows=1"
+
+
+# ---------------------------------------------------------------------------
+# The per-pair loop forms that the Gram-table sweep replaced, kept verbatim as
+# bitwise references, with the pair cache they read through.
+
+
+class _LoopInnerCache:
+    def __init__(self, filt, J):
+        self.filt = filt
+        self.J = J
+        self._samples = {}
+        self._inners = {}
+
+    def _sample(self, key, grid):
+        skey = key + (grid,)
+        if skey not in self._samples:
+            kind, scale, k = key
+            self._samples[skey] = scaled_atom_sample(self.filt, kind, scale, k, grid)
+        return self._samples[skey]
+
+    def inner(self, key_a, key_b):
+        if key_b < key_a:
+            key_a, key_b = key_b, key_a
+        pair = (key_a, key_b)
+        if pair not in self._inners:
+            grid = max(key_a[1], key_b[1]) + self.J
+            self._inners[pair] = quad_inner(
+                self._sample(key_a, grid), self._sample(key_b, grid)
+            )
+        return self._inners[pair]
+
+
+def _loop_factor_keys(atom, mw):
+    keys = []
+    for row in atom.rows:
+        row_keys = []
+        for i in range(atom.d):
+            comp = factor_component(mw, atom.eps[i], row[i], atom.j)
+            row_keys.append((comp.kind, comp.scale, atom.k[i]))
+        keys.append(row_keys)
+    return keys
+
+
+def _loop_star_nd_separable(atom_a, atom_b, basis, cache):
+    keys_a = _loop_factor_keys(atom_a, basis.mw)
+    keys_b = _loop_factor_keys(atom_b, basis.mw)
+    m = atom_a.m
+    out = np.empty((m, m))
+    for r in range(m):
+        for rp in range(m):
+            v = 1.0
+            for i in range(atom_a.d):
+                v *= cache.inner(keys_a[r][i], keys_b[rp][i])
+                if v == 0.0:
+                    break
+            out[r, rp] = v
+    return out
+
+
+def _loop_catalog_star_deviation(basis, max_level, k_range, J):
+    atoms = catalog_atoms(basis, max_level, k_range)
+    cache = _LoopInnerCache(basis.mw.filter, J)
+    keys = [_loop_factor_keys(a, basis.mw) for a in atoms]
+    m, d = basis.m, basis.d
+    worst = 0.0
+    for ia in range(len(atoms)):
+        for ib in range(ia, len(atoms)):
+            same = ia == ib
+            for r in range(m):
+                for rp in range(m):
+                    v = 1.0
+                    for i in range(d):
+                        v *= cache.inner(keys[ia][r][i], keys[ib][rp][i])
+                        if v == 0.0:
+                            break
+                    want = 1.0 if same and r == rp else 0.0
+                    dev = abs(v - want)
+                    if dev > worst:
+                        worst = dev
+    return worst
+
+
+def _basis(name, d, m, seed=None):
+    part = None if seed is None else random_partition(d, m, seed)
+    return build_basis_nd(filter_by_name(name), d, m, part)
+
+
+# (filter, d, m, partition seed or None for cyclic, max_level, k_range, J)
+SWEEP_CASES = [
+    ("haar", 2, m, seed, 1, 1, 10) for m in (1, 2, 3) for seed in (None, 0, 1, 2)
+] + [
+    ("db4", 2, 2, None, 1, 1, 8),
+    ("db10", 1, 3, None, 1, 1, 10),
+    ("db2", 3, 2, None, 0, 1, 8),
+]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_catalog_sweep_matches_loop_bitwise(case):
+    name, d, m, seed, max_level, k_range, J = case
+    b = _basis(name, d, m, seed)
+    got = catalog_star_deviation(b, max_level, k_range, J)
+    assert got.hex() == _loop_catalog_star_deviation(b, max_level, k_range, J).hex()
+
+
+@pytest.mark.parametrize(
+    "case", [("haar", 2, 3, 1, 10), ("db4", 2, 2, 1, 8), ("db2", 3, 2, 0, 8)]
+)
+def test_star_nd_separable_matches_loop_bytes(case):
+    # Every ordered pair of a spread of atoms, compared as bytes, so a zero
+    # entry must keep the sign it had when its first factor vanished.
+    name, d, m, max_level, J = case
+    b = _basis(name, d, m)
+    atoms = catalog_atoms(b, max_level, 1)
+    atoms = atoms[:: len(atoms) // 24]
+    cache, ref_cache = FactorInnerCache(b.mw.filter, J), _LoopInnerCache(b.mw.filter, J)
+    negative_after_zero = 0
+    for a in atoms:
+        for c in atoms:
+            got = star_nd_separable(a, c, b, cache).entries
+            ref = _loop_star_nd_separable(a, c, b, ref_cache)
+            assert got.tobytes() == ref.tobytes()
+            ka, kc = _loop_factor_keys(a, b.mw), _loop_factor_keys(c, b.mw)
+            negative_after_zero += sum(
+                ref_cache.inner(ka[r][0], kc[rp][0]) == 0.0
+                and any(ref_cache.inner(ka[r][i], kc[rp][i]) < 0 for i in range(1, d))
+                for r in range(m)
+                for rp in range(m)
+            )
+    # the early exit is exercised: without it these entries would turn -0.0
+    assert negative_after_zero > 0
+
+
+def test_sweep_block_size_does_not_change_bits(monkeypatch):
+    for b, args in ((_basis("haar", 2, 3), (1, 1, 10)), (_basis("db2", 3, 2), (0, 1, 8))):
+        want = catalog_star_deviation(b, *args).hex()
+        n = catalog_rows(b.d, b.m, *args[:2])
+        for rows in (1, 5, n - 1):
+            monkeypatch.setattr(basisnd, "_SWEEP_BLOCK_BYTES", 8 * n * rows)
+            assert catalog_star_deviation(b, *args).hex() == want
+
+
+def _tables_after(form, name, d, m, max_level, k_range, J):
+    """The cascade-table and scaled-sample cache keys of a fresh process
+    after one sweep in the given form."""
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_basisnd as t\n"
+        "from vecwave import scalar\n"
+        f"b = t._basis({name!r}, {d}, {m})\n"
+        f"fn = t.{'_loop_catalog_star_deviation' if form == 'loop' else 'catalog_star_deviation'}\n"
+        f"fn(b, {max_level}, {k_range}, {J})\n"
+        "print(json.dumps([sorted(map(repr, c)) for c in (scalar._table_cache, scalar._scaled_cache)]))\n"
+    )
+    src = str(Path(vecwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "case", [("haar", 2, 3, 1, 1, 10), ("db4", 2, 2, 1, 1, 8), ("db10", 1, 3, 1, 1, 8)]
+)
+def test_sweep_builds_the_loops_tables(case):
+    # The Gram table measures the same pairs on the same grids as the loop,
+    # so a cold sweep builds no cascade table the loop did not.
+    tables = _tables_after("array", *case)
+    assert tables[0]
+    assert tables == _tables_after("loop", *case)
+
+
+def test_catalog_rows_is_the_catalog_size():
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            b = build_basis_nd(haar_filter(), d, m)
+            for max_level in (-1, 0, 1, 2):
+                for k_range in (-1, 0, 1):
+                    n = len(catalog_atoms(b, max_level, k_range)) * m
+                    assert catalog_rows(d, m, max_level, k_range) == n
+
+
+def test_sweep_guard_admits_every_d3_catalog():
+    for d in (1, 2, 3):
+        for m in range(1, MAX_ENUM_M + 1):
+            assert catalog_rows(d, m, 1, 1) <= MAX_SWEEP_ROWS
+    assert catalog_rows(3, 3, 1, 1) == 10935
+
+
+def test_sweep_guard_rejects_before_allocating(monkeypatch):
+    # d = 4, m = 4 has 642 816 atom rows; the guard fires before the catalog
+    # is enumerated.
+    b = build_basis_nd(haar_filter(), 4, 4)
+
+    def never(*args):
+        raise AssertionError("catalog enumerated before the size guard")
+
+    monkeypatch.setattr(basisnd, "catalog_atoms", never)
+    with pytest.raises(SizeGuardError, match="642816"):
+        catalog_star_deviation(b, 1, 1, 10)
+
+
+def test_empty_catalog_sweep_is_zero():
+    b = build_basis_nd(haar_filter(), 2, 2)
+    assert catalog_star_deviation(b, 1, -1, 8) == 0.0
+    assert _loop_catalog_star_deviation(b, 1, -1, 8) == 0.0
+    with pytest.raises(ValueError):
+        catalog_star_deviation(b, 1, 1, 0)

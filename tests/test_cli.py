@@ -111,6 +111,14 @@ def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
+def test_verify_refuses_an_oversized_sweep(tmp_path, capsys):
+    # haar d=4 m=4 has 642 816 catalog atom rows at verify's parameters; the
+    # sweep's size guard stops it before anything that size is built.
+    manifest = build_manifest(tmp_path, d=4, m=4)
+    assert main(["verify", "--manifest", str(manifest)]) == 2
+    assert "gram sweep guard" in capsys.readouterr().err
+
+
 def test_verify_env_j_override(tmp_path, capsys, monkeypatch):
     manifest = build_manifest(tmp_path)
     monkeypatch.setenv("VECWAVE_J", "6")

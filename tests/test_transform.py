@@ -28,7 +28,7 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
-from vecwave.transform import _axis_analyze_step, _axis_synthesize_step
+from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step
 
 HAAR = filter_by_name("haar")
 DB2 = filter_by_name("db2")
@@ -427,6 +427,68 @@ def test_base_detail_columns_thresholded_independently():
     base = out.band("base-b0")
     assert_array_equal(base.values[:, 0], dec.band("base-b0").values[:, 0])
     assert not np.any(base.values[:, 1])
+
+
+def _threshold_reference(dec, tau, norm):
+    # The form before the single product: a copy, a fancy-indexed copy, the
+    # product, and the band's own copy.
+    bands = []
+    for band in dec.bands:
+        if band.level >= 0:
+            col_idx = list(range(band.m))
+        else:
+            col_idx = [r for r, col in enumerate(band.cols) if any(kind == "detail" for kind, _, _ in col)]
+        if not col_idx:
+            bands.append(band)
+            continue
+        values = np.array(band.values)
+        sub = values[:, col_idx]
+        if norm == "frobenius":
+            norms = np.sqrt(np.sum(sub**2, axis=(0, 1)))
+        else:
+            norms = np.max(np.sum(np.abs(sub), axis=0), axis=0)
+        values[:, col_idx] = sub * np.where(norms < tau, 0.0, 1.0)
+        bands.append(replace(band, values=values))
+    return replace(dec, bands=tuple(bands))
+
+
+def _encode_reference(dec):
+    payload = b"".join(band.values.astype("<f8").tobytes() for band in dec.bands)
+    return decomposition_manifest(dec).encode("ascii") + payload
+
+
+def test_threshold_and_encoder_match_copying_forms_bytewise():
+    rng = np.random.default_rng(12)
+    for basis, shape, levels in (
+        (build_vector_basis(DB2, 3), (3, 512), 2),
+        (build_basis_nd(HAAR, 2, 3), (3, 64, 64), 1),
+        (build_basis_nd(DB2, 2, 2), (2, 32, 32), 1),
+    ):
+        dec = analyze_vector(VectorSignal(_with_signed_zeros(rng, shape)), basis, levels)
+        before = [band.values.tobytes() for band in dec.bands]
+        assert decomposition_to_bytes(dec) == _encode_reference(dec)
+        for norm in ("frobenius", "norm1"):
+            for tau in (0.0, 0.25, 1.0, np.inf):
+                got = decomposition_to_bytes(threshold_matrix(dec, tau, norm))
+                assert got == _encode_reference(_threshold_reference(dec, tau, norm))
+        # the input decomposition is never written through
+        assert [band.values.tobytes() for band in dec.bands] == before
+
+
+def test_band_keeps_frozen_owned_arrays_and_copies_others():
+    def band(values):
+        return Band("w", (1,), 0, 0, ((("detail", 0, 1),),), values)
+
+    frozen = np.ones((1, 1, 1))
+    frozen.flags.writeable = False
+    assert band(frozen).values is frozen
+    live = np.ones((1, 1, 1))
+    kept = band(live)
+    live[0, 0, 0] = 2.0
+    assert kept.values[0, 0, 0] == 1.0 and not kept.values.flags.writeable
+    view = np.ones((1, 1, 2))[..., :1]
+    view.flags.writeable = False
+    assert band(view).values.flags.owndata
 
 
 def test_signal_bytes_round_trip():
