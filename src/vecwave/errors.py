@@ -14,7 +14,7 @@ class DimensionError(VecwaveError):
 
 
 class SizeGuardError(VecwaveError):
-    """A combinatorial enumeration would exceed the supported size."""
+    """A request would exceed a supported size: an enumeration, a sweep or a table."""
 
 
 class NotOrthonormalError(VecwaveError):

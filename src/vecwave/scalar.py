@@ -26,11 +26,16 @@ from fractions import Fraction
 import numpy as np
 
 from ._daubechies_taps import DAUBECHIES_H
-from .errors import ResolutionError
+from .errors import ResolutionError, SizeGuardError
 
 SQRT2 = math.sqrt(2.0)
 
 _MAX_MOMENT = 12
+
+# Largest cascade table, in samples ((L - 1) * 2**J).  Refinement doubles
+# the table per level, so an unchecked J asks for arrays of any size; the
+# deepest table the tests, demos and benchmark reach is 19 * 2**17 (db10).
+MAX_TABLE_SAMPLES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -301,6 +306,11 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
     """
     if which not in ("scaling", "wavelet"):
         raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
+    if (filt.length - 1) * 2**J > MAX_TABLE_SAMPLES:
+        raise SizeGuardError(
+            f"a level-{J} table of {filt.name} would hold {(filt.length - 1) * 2**J} samples, "
+            f"more than the {MAX_TABLE_SAMPLES} allowed"
+        )
     key = (_filter_key(filt), which, J)
     if key not in _table_cache:
         finer = [j for j in _cached_levels(filt, which) if j > J]

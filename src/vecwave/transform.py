@@ -1,12 +1,22 @@
 """Discrete transform packing scalar pyramids into matrix coefficients.
 
-An m-channel signal of dyadic length runs through per-channel orthogonal
-scalar wavelet pyramids whose subbands are regrouped into m x m matrix
-coefficients, one matrix per translate of each basis family.  One vector
-level consumes m scalar levels along every axis; in two dimensions the
-mixed approx/detail blocks are split m - 1 further scalar levels along
-their approx axis, so that axis carries the level-t scaling components
-and every (orientation, block, level) family receives coefficients.
+An m-channel signal on a dyadic grid with d = 1..3 space axes runs through
+per-channel orthogonal scalar wavelet pyramids whose subbands are regrouped
+into m x m matrix coefficients, one matrix per translate of each basis
+family.  One vector level consumes m scalar levels along every axis.
+
+One schedule of scalar steps serves every d: analysis runs it forward and
+synthesis runs the same steps in reverse.  Take the vector levels from
+finest to coarsest, visit the axes in order and split every node m steps
+along the current axis.  The approx child of the all-approx node waits for
+the next level.  Once a node has a detail axis, its waiting approx axes
+take m - 1 further steps, in axis order, before the next axis; approx
+children it gets later take those steps at once.  After the last level the
+base node takes m - 1 steps along each axis in order.  So each approx axis
+of a family carries the level-t scaling components, and every
+(orientation, block, level) family receives coefficients.  With d = 1 the
+schedule is the plain scalar pyramid, m * levels + m - 1 steps deep.
+
 Matrix columns are routed by the block partition.  Columns shorter than
 the widest column of their family are padded with structural zeros; the
 column lengths recorded in the band act as the validity mask.
@@ -27,6 +37,7 @@ bit for bit, signed zeros included.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 import re
 
 import numpy as np
@@ -35,6 +46,7 @@ from .basis1d import VectorBasis1D
 from .basisnd import BasisND, Partition, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter
+from .tensor import MAX_SAMPLE_D
 
 __all__ = [
     "Band",
@@ -61,14 +73,14 @@ def _is_pow2(n) -> bool:
 
 @dataclass(frozen=True)
 class VectorSignal:
-    """An m-channel sample grid of finite values: shape (m, n) or (m, n, n) with dyadic n."""
+    """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n."""
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        if values.ndim not in (2, 3):
-            raise DimensionError(f"signal must have 1 or 2 space axes, got shape {values.shape}")
+        if not 2 <= values.ndim <= MAX_SAMPLE_D + 1:
+            raise DimensionError(f"signal must have 1 to {MAX_SAMPLE_D} space axes, got shape {values.shape}")
         if values.shape[0] < 1:
             raise DimensionError("signal needs at least one channel")
         n = values.shape[1]
@@ -237,11 +249,11 @@ def idwt2_channel(approx: np.ndarray, shells, filt: ScalarFilter) -> np.ndarray:
 class Band:
     """One family's finite matrix coefficients at every translate.
 
-    values has shape (m, m, K1[, K2]): channel row, partition column,
-    then one translate axis per space axis.  cols[r] describes column r
-    as one (kind, scale, length) triple per axis; slots at or beyond a
-    column's length are structural zeros (the validity mask).  level is
-    the vector level t, or -1 for the base family.
+    values has shape (m, m, K1, ..., Kd) with d = 1..3: channel row,
+    partition column, then one translate axis per space axis.  cols[r]
+    describes column r as one (kind, scale, length) triple per axis; slots
+    at or beyond a column's length are structural zeros (the validity
+    mask).  level is the vector level t, or -1 for the base family.
     """
 
     key: str
@@ -265,8 +277,8 @@ class Band:
         ):
             values = np.array(values, dtype=float)
         d = values.ndim - 2
-        if d not in (1, 2):
-            raise ValueError(f"band values must have 1 or 2 translate axes, got shape {values.shape}")
+        if not 1 <= d <= MAX_SAMPLE_D:
+            raise ValueError(f"band values must have 1 to {MAX_SAMPLE_D} translate axes, got shape {values.shape}")
         m = values.shape[0]
         if values.shape[1] != m or len(cols) != m:
             raise ValueError(f"band must hold m x m matrices with m column descriptors, got shape {values.shape} and {len(cols)} columns")
@@ -377,6 +389,52 @@ def _wavelet_eps(d: int):
     return sorted(out)
 
 
+@lru_cache(maxsize=64)
+def _schedule(d: int, m: int, levels: int, s0: int):
+    """The scalar steps of the pyramid as (axis, steps, src_key, out_keys) ops.
+
+    A key names a subband by one (kind, scale) descriptor per space axis,
+    the descriptors `_pack_band` asks for; out_keys is (approx, details
+    finest first), as `_axis_pyramid` returns them.  Returns the ops in
+    analysis order and the frozenset of leaf keys the bands hold.
+    """
+    ops = []
+
+    def split(node, axis, steps):
+        scale = node[axis][1]
+        out = [node[:axis] + (("approx", scale - steps),) + node[axis + 1:]]
+        out += [node[:axis] + (("detail", scale - 1 - j),) + node[axis + 1:] for j in range(steps)]
+        if steps:
+            ops.append((axis, steps, node, tuple(out)))
+        return out
+
+    def settle(node, axes):
+        nodes = [node]
+        for axis in axes:
+            nodes = [leaf for n in nodes for leaf in split(n, axis, m - 1)]
+        return nodes
+
+    leaves = []
+    root = (("approx", s0 + m * levels + m - 1),) * d
+    for t in range(levels - 1, -1, -1):
+        waiting = ("approx", s0 + m * t + m - 1)
+        nodes = [root]
+        for axis in range(d):
+            children = []
+            for node in nodes:
+                for child in split(node, axis, m):
+                    if all(kind == "approx" for kind, _ in child):
+                        children.append(child)
+                    else:
+                        children += settle(child, [c for c, desc in enumerate(child) if desc == waiting])
+            nodes = children
+        # the all-approx node comes first and carries on to the next level
+        root, *done = nodes
+        leaves += done
+    leaves += settle(root, range(d))
+    return tuple(ops), frozenset(leaves)
+
+
 def _pack_band(key, eps, level, block_idx, rows, pieces, m, s0, d):
     cols = []
     arrays = []
@@ -411,42 +469,11 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     s0 = smax - depth
     d = signal.d
 
-    pieces = {}
-    if d == 1:
-        a = signal.values
-        for sigma in range(smax - 1, s0 - 1, -1):
-            a, det = _axis_analyze_step(a, filt, axis=1)
-            pieces[(("detail", sigma),)] = det
-        pieces[(("approx", s0),)] = a
-        # the base packing consumes the approx plus the m - 1 coarsest details
-    else:
-        a = signal.values
-        for t in range(levels - 1, -1, -1):
-            base_scale = s0 + m * t
-            ax, dxs = _axis_pyramid(a, filt, m, axis=1)
-            a, dys = _axis_pyramid(ax, filt, m, axis=2)
-            for j, dy in enumerate(dys):
-                sig_y = base_scale + 2 * m - 2 - j
-                rx, rdet = _axis_pyramid(dy, filt, m - 1, axis=1)
-                pieces[(("approx", base_scale), ("detail", sig_y))] = rx
-                for u, rd in enumerate(rdet):
-                    pieces[(("detail", base_scale + m - 2 - u), ("detail", sig_y))] = rd
-            for i, dx in enumerate(dxs):
-                sig_x = base_scale + 2 * m - 2 - i
-                ay, dys2 = _axis_pyramid(dx, filt, m, axis=2)
-                ry, rdet = _axis_pyramid(ay, filt, m - 1, axis=2)
-                pieces[(("detail", sig_x), ("approx", base_scale))] = ry
-                for u, rd in enumerate(rdet):
-                    pieces[(("detail", sig_x), ("detail", base_scale + m - 2 - u))] = rd
-                for j, dy2 in enumerate(dys2):
-                    pieces[(("detail", sig_x), ("detail", base_scale + 2 * m - 2 - j))] = dy2
-        bx, bdx = _axis_pyramid(a, filt, m - 1, axis=1)
-        xcomps = [(("approx", s0), bx)] + [(("detail", s0 + m - 2 - u), arr) for u, arr in enumerate(bdx)]
-        for xdesc, arr in xcomps:
-            by, bdy = _axis_pyramid(arr, filt, m - 1, axis=2)
-            pieces[(xdesc, ("approx", s0))] = by
-            for u, rd in enumerate(bdy):
-                pieces[(xdesc, ("detail", s0 + m - 2 - u))] = rd
+    ops, _ = _schedule(d, m, levels, s0)
+    pieces = {(("approx", smax),) * d: signal.values}
+    for axis, steps, src, out in ops:
+        approx, details = _axis_pyramid(pieces.pop(src), filt, steps, axis + 1)
+        pieces.update(zip(out, [approx] + details))
 
     bands = []
     base_eps = (0,) * d
@@ -489,51 +516,18 @@ def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> 
         raise DimensionError(f"requested n = {n} but decomposition holds n = {dec.n}")
     smax = dec.n.bit_length() - 1
     s0 = smax - (m * dec.levels + m - 1)
+    # first, so a levels field read from a file cannot ask for a huge schedule
+    if s0 < 0:
+        raise CorruptionError(f"{dec.levels} vector levels of m = {m} exceed log2(n) = {smax}")
+    ops, leaves = _schedule(dec.d, m, dec.levels, s0)
     pieces = _unpack_bands(dec)
-    d = dec.d
-
-    def grab(xdesc, ydesc=None):
-        key = (xdesc,) if ydesc is None else (xdesc, ydesc)
-        try:
-            return pieces.pop(key)
-        except KeyError:
-            raise CorruptionError(f"decomposition is missing subband {key}") from None
-
-    if d == 1:
-        a = grab(("approx", s0))
-        for sigma in range(s0, smax):
-            a = _axis_synthesize_step(a, grab(("detail", sigma)), filt, axis=1)
-    else:
-        def comp_desc(t, alpha_c):
-            return _axis_desc(m, s0, t, 0, alpha_c)
-
-        by = grab(("approx", s0), ("approx", s0))
-        xcomps = [_axis_ipyramid(by, [grab(("approx", s0), comp_desc(0, cc)) for cc in range(m, 1, -1)], filt, axis=2)]
-        for a_x in range(2, m + 1):
-            xd = comp_desc(0, a_x)
-            col = _axis_ipyramid(grab(xd, ("approx", s0)), [grab(xd, comp_desc(0, cc)) for cc in range(m, 1, -1)], filt, axis=2)
-            xcomps.append(col)
-        a = _axis_ipyramid(xcomps[0], list(reversed(xcomps[1:])), filt, axis=1)
-        for t in range(dec.levels):
-            base_scale = s0 + m * t
-            dys = []
-            for j in range(m):
-                sig_y = base_scale + 2 * m - 2 - j
-                rx = grab(("approx", base_scale), ("detail", sig_y))
-                rdet = [grab(comp_desc(t, m - u), ("detail", sig_y)) for u in range(m - 1)]
-                dys.append(_axis_ipyramid(rx, rdet, filt, axis=1))
-            ax = _axis_ipyramid(a, dys, filt, axis=2)
-            dxs = []
-            for i in range(m):
-                sig_x = base_scale + 2 * m - 2 - i
-                ry = grab(("detail", sig_x), ("approx", base_scale))
-                rdet = [grab(("detail", sig_x), comp_desc(t, m - u)) for u in range(m - 1)]
-                ay = _axis_ipyramid(ry, rdet, filt, axis=2)
-                dys2 = [grab(("detail", sig_x), ("detail", base_scale + 2 * m - 2 - j)) for j in range(m)]
-                dxs.append(_axis_ipyramid(ay, dys2, filt, axis=2))
-            a = _axis_ipyramid(ax, dxs, filt, axis=1)
-    if pieces:
-        raise CorruptionError(f"decomposition holds unexpected subbands: {sorted(pieces)}")
+    if leaves - pieces.keys():
+        raise CorruptionError(f"decomposition is missing subbands: {sorted(leaves - pieces.keys())}")
+    if pieces.keys() - leaves:
+        raise CorruptionError(f"decomposition holds unexpected subbands: {sorted(pieces.keys() - leaves)}")
+    for axis, _, src, out in reversed(ops):
+        pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
+    (a,) = pieces.values()
     return VectorSignal(a)
 
 
@@ -581,9 +575,10 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
 # ---------------------------------------------------------------------------
 # serialization
 
-_SIGNAL_RE = re.compile(rb"^VWAV1 d=([12]) m=([0-9]+) n=([0-9]+) dtype=f64le\n")
+# at most 20 digits a field: int() refuses strings of more than 4300
+_SIGNAL_RE = re.compile(rb"^VWAV1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) dtype=f64le\n")
 _DEC_RE = re.compile(
-    r"^VDEC1 d=([12]) m=([0-9]+) n=([0-9]+) levels=([0-9]+) filter=(\S+) bands=([0-9]+)$"
+    r"^VDEC1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) levels=([0-9]{1,20}) filter=(\S+) bands=([0-9]{1,20})$"
 )
 
 
@@ -597,7 +592,7 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
     if not match:
         raise FileFormatError("missing or malformed VWAV1 header")
     d, m, n = (int(match.group(i)) for i in (1, 2, 3))
-    if m < 1 or not _is_pow2(n):
+    if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid signal geometry d={d} m={m} n={n}")
     payload = memoryview(data)[match.end():]
     expected = 8 * m * n**d
@@ -676,7 +671,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     d, m, n, levels = (int(match.group(i)) for i in (1, 2, 3, 4))
     filter_name = match.group(5)
     band_count = int(match.group(6))
-    if m < 1 or not _is_pow2(n):
+    if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid geometry d={d} m={m} n={n}")
 
     pos = newline + 1

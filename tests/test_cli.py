@@ -119,6 +119,32 @@ def test_verify_refuses_an_oversized_sweep(tmp_path, capsys):
     assert "gram sweep guard" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_oversized_table(tmp_path, capsys, monkeypatch):
+    # J = 60 would ask for cascade tables of about 2**60 samples
+    manifest = build_manifest(tmp_path)
+    assert main(["verify", "--manifest", str(manifest), "--j", "60"]) == 2
+    monkeypatch.setenv("VECWAVE_J", "60")
+    assert main(["verify", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err.count("samples, more than the") == 2
+
+
+@pytest.mark.parametrize("name,m,profile", [("haar", 2, "exact"), ("db2", 1, "sampled")])
+def test_d3_build_verify_transform(tmp_path, capsys, name, m, profile):
+    manifest = build_manifest(tmp_path, name=name, d=3, m=m)
+    assert main(["verify", "--manifest", str(manifest), "--profile", profile]) == 0
+    assert "PASS 11/11 checks" in capsys.readouterr().out
+    sig_path, sig = write_signal(tmp_path, m, (16, 16, 16))
+    dec_path = tmp_path / "dec.vdec"
+    rec_path = tmp_path / "rec.vwav"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    assert dec_path.read_bytes().startswith(f"VDEC1 d=3 m={m} n=16 levels=1 filter={name}".encode())
+    assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                 "--out", str(rec_path), "--inverse"]) == 0
+    rec = signal_from_bytes(rec_path.read_bytes())
+    assert_allclose(rec.values, sig.values, rtol=0, atol=1e-12)
+
+
 def test_verify_env_j_override(tmp_path, capsys, monkeypatch):
     manifest = build_manifest(tmp_path)
     monkeypatch.setenv("VECWAVE_J", "6")
@@ -210,6 +236,12 @@ def test_transform_header_mismatch(tmp_path, capsys):
                "--out", str(out), "--levels", "1"])
     assert rc == 2
     assert "signal is d=1" in capsys.readouterr().err
+    # four space axes are past the supported d <= 3
+    sig_path.write_bytes(b"VWAV1 d=4 m=2 n=2 dtype=f64le\n" + bytes(8 * 2 * 2**4))
+    rc = main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+               "--out", str(out), "--levels", "1"])
+    assert rc == 2
+    assert "invalid signal geometry d=4" in capsys.readouterr().err
 
 
 def test_transform_forward_needs_levels(tmp_path, capsys):
@@ -354,6 +386,15 @@ def test_plot_rejects_bad_requests(tmp_path, capsys):
     rc = main(base + ["--manifest", str(manifest3), "--family", "Psi1"])
     assert rc == 2
     assert "plotting d=3 atoms is not supported" in capsys.readouterr().err
+
+
+def test_plot_refuses_an_oversized_table(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=1, m=1)
+    out = tmp_path / "phi.svg"
+    assert main(["plot", "--manifest", str(manifest), "--family", "Phi1",
+                 "--j", "60", "--out", str(out)]) == 2
+    assert "samples, more than the" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_exit_codes(capsys):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vecwave import scalar
-from vecwave.errors import FileFormatError, ResolutionError
+from vecwave.errors import FileFormatError, ResolutionError, SizeGuardError
 from vecwave.scalar import (
     ScalarFilter,
     daubechies_filter,
@@ -237,3 +237,14 @@ def test_caches_keyed_by_taps_not_name(monkeypatch):
     assert scaled.tobytes() == scaled_atom_sample(db3, "wavelet", 1, 0, 3).values.tobytes()
     # the builtin's entries are untouched by the impostor
     assert len(refine_sample(db2, "scaling", 3).values) == 24
+
+
+def test_table_size_guard_fires_before_allocating():
+    # each request below would need a table of 2**27 to 2**64 samples
+    with pytest.raises(SizeGuardError):
+        refine_sample(filter_by_name("db10"), "wavelet", 60)
+    with pytest.raises(SizeGuardError):
+        refine_sample(haar_filter(), "scaling", 27)
+    with pytest.raises(SizeGuardError):
+        scaled_atom_sample(daubechies_filter(2), "scaling", 3, 0, 30)
+    assert (filter_by_name("db10").length - 1) * 2**17 <= scalar.MAX_TABLE_SAMPLES

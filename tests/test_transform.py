@@ -170,7 +170,7 @@ def test_vector_signal_validation():
     with pytest.raises(DimensionError):
         VectorSignal(np.ones(8))
     with pytest.raises(DimensionError):
-        VectorSignal(np.ones((2, 4, 4, 4)))
+        VectorSignal(np.ones((2, 4, 4, 4, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -188,6 +188,11 @@ def test_signal_bytes_rejects_non_finite(bad):
     blob = b"VWAV1 d=1 m=2 n=16 dtype=f64le\n" + values.astype("<f8").tobytes()
     with pytest.raises(FileFormatError, match="NaN or infinite"):
         signal_from_bytes(blob)
+
+
+def test_band_rejects_four_translate_axes():
+    with pytest.raises(ValueError, match="1 to 3 translate axes"):
+        Band("w", (1, 0, 0, 0), 0, 0, ((("detail", 0, 1),) * 4,), np.zeros((1,) * 6))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,6 +276,21 @@ def test_round_trip_grid_2d():
             assert dec.census() == m * 64**2
 
 
+def test_round_trip_grid_3d():
+    rng = np.random.default_rng(13)
+    for name in ("haar", "db2", "db4"):
+        filt = filter_by_name(name)
+        for m, levels in ((1, 3), (2, 2), (3, 1)):
+            basis = build_basis_nd(filt, 3, m)
+            sig = VectorSignal(rng.standard_normal((m, 32, 32, 32)))
+            dec = analyze_vector(sig, basis, levels)
+            rec = synthesize_vector(dec, basis)
+            scale = np.max(np.abs(sig.values))
+            assert np.max(np.abs(rec.values - sig.values)) <= 1e-10 * scale
+            assert abs(dec.energy() - sig.energy()) <= 1e-10 * sig.energy()
+            assert dec.census() == m * 32**3
+
+
 def test_m1_reduces_bitwise_to_scalar_dwt_1d():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(64)
@@ -293,6 +313,37 @@ def test_m1_reduces_bitwise_to_scalar_dwt_2d():
         assert_array_equal(dec.band(f"w-e01-t{t}-b0").values[0, 0], d_ay)
         assert_array_equal(dec.band(f"w-e10-t{t}-b0").values[0, 0], d_xa)
         assert_array_equal(dec.band(f"w-e11-t{t}-b0").values[0, 0], d_xy)
+
+
+def _scalar_pyramid_3d(x, filt, levels):
+    # per level: one step along x, then y, then z, on every block
+    a, shells = x, []
+    for _ in range(levels):
+        blocks = {(): a}
+        for axis in range(3):
+            blocks = {
+                bits + (b,): sub
+                for bits, block in blocks.items()
+                for b, sub in enumerate(_axis_analyze_step(block, filt, axis))
+            }
+        a = blocks.pop((0, 0, 0))
+        shells.append(blocks)
+    return a, shells
+
+
+def test_m1_reduces_bitwise_to_scalar_dwt_3d():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((16, 16, 16))
+    x[x > 1.5] = -0.0
+    dec = analyze_vector(VectorSignal(x[None]), build_basis_nd(DB2, 3, 1), 3)
+    approx, shells = _scalar_pyramid_3d(x, DB2, 3)
+    _assert_bitwise(dec.band("base-b0").values[0, 0], approx)
+    for t in range(3):
+        blocks = shells[2 - t]
+        assert len(blocks) == 7
+        for eps, block in blocks.items():
+            bits = "".join(str(b) for b in eps)
+            _assert_bitwise(dec.band(f"w-e{bits}-t{t}-b0").values[0, 0], block)
 
 
 def test_levels_zero_is_base_only():
@@ -356,6 +407,12 @@ def test_missing_band_corruption_detected():
     dec = analyze_vector(VectorSignal(np.ones((2, 16))), basis, 1)
     with pytest.raises(CorruptionError):
         synthesize_vector(replace(dec, bands=dec.bands[:-1]), basis)
+    # a level count that does not fit the bands, or not even the grid
+    with pytest.raises(CorruptionError, match="missing subbands"):
+        synthesize_vector(replace(dec, levels=0), basis)
+    for levels in (2, 10**9):
+        with pytest.raises(CorruptionError, match="exceed log2"):
+            synthesize_vector(replace(dec, levels=levels), basis)
 
 
 def test_all_zero_decomposition_synthesizes_zero():
@@ -505,10 +562,11 @@ def test_signal_bytes_round_trip():
 def test_signal_bytes_rejects_garbage():
     for blob in (
         b"",
-        b"VWAV1 d=3 m=2 n=8 dtype=f64le\n" + b"\0" * 8192,
+        b"VWAV1 d=4 m=2 n=8 dtype=f64le\n" + b"\0" * 65536,
         b"VWAV1 d=1 m=2 n=7 dtype=f64le\n" + b"\0" * 112,
         b"VWAV1 d=1 m=2 n=8 dtype=f64le\n" + b"\0" * 100,
         b"VWAV2 d=1 m=2 n=8 dtype=f64le\n" + b"\0" * 128,
+        b"VWAV1 d=1 m=" + b"9" * 5000 + b" n=8 dtype=f64le\n",
     ):
         with pytest.raises(FileFormatError):
             signal_from_bytes(blob)
@@ -539,6 +597,8 @@ def test_decomposition_bytes_rejects_garbage():
         blob + b"\0" * 8,
         blob.replace(b"partition=1,1;2,2/1,2;2,1", b"partition=1,1;2,2/1,2;2,2", 1),
         blob.replace(b"bands=8", b"bands=7", 1),
+        blob.replace(b"VDEC1 d=2", b"VDEC1 d=4", 1),
+        blob.replace(b"levels=1", b"levels=" + b"1" * 5000, 1),
     )
     for mut in mutations:
         with pytest.raises((FileFormatError, CorruptionError)):
@@ -579,3 +639,13 @@ def test_regrouping_bijection_2d():
     assert len(pairs) == len(set(pairs))
     total = sum(3 * lx * ly for ((_, _, lx), (_, _, ly)) in pairs)
     assert total == 3 * 64**2
+
+
+def test_regrouping_bijection_3d():
+    basis = build_basis_nd(HAAR, 3, 2)
+    dec = analyze_vector(VectorSignal(np.zeros((2, 32, 32, 32))), basis, 2)
+    triples = [col for band in dec.bands for col in band.cols]
+    assert len(triples) == len(set(triples))
+    total = sum(2 * lx * ly * lz for ((_, _, lx), (_, _, ly), (_, _, lz)) in triples)
+    assert total == 2 * 32**3
+    assert dec.census() == 2 * 32**3
