@@ -8,6 +8,7 @@ partition is the deterministic default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .basis1d import FactorInnerCache, Multiwavelet, build_vector_basis, to_multiwavelet
 from .errors import SizeGuardError
-from .scalar import ScalarFilter, scaled_atom_sample
+from .scalar import MAX_TABLE_SAMPLES, ScalarFilter, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction
 from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, factor_component
 
@@ -227,7 +228,15 @@ def sample_vector_atom_nd(
         max(ch[i].start + len(ch[i].values) for ch in channels)
         for i in range(atom.d)
     ]
-    values = np.zeros((atom.m, *[hi[i] - lo[i] for i in range(atom.d)]))
+    shape = (atom.m, *[hi[i] - lo[i] for i in range(atom.d)])
+    # bounded like one cascade table: each factor table passed that guard,
+    # but their outer product need not
+    if math.prod(shape) > MAX_TABLE_SAMPLES:
+        raise SizeGuardError(
+            f"a level-{J} sampling of this atom would hold {math.prod(shape)} samples, "
+            f"more than the {MAX_TABLE_SAMPLES} allowed"
+        )
+    values = np.zeros(shape)
     for r, factors in enumerate(channels):
         prod = factors[0].values
         for f in factors[1:]:

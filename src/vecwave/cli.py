@@ -41,7 +41,7 @@ from .scalar import (
     sampled_from_csv,
 )
 from .svgplot import raster_svg, step_polyline_svg
-from .tensor import enumerate_families
+from .tensor import MAX_ENUM_D, MAX_ENUM_M, enumerate_families
 from .transform import (
     VectorSignal,
     analyze_vector,
@@ -76,8 +76,11 @@ _PROFILES = {
     },
 }
 
-_MANIFEST_HEAD = re.compile(r"^filter=(\S+) d=([0-9]+) m=([0-9]+) dilation=([0-9]+) blocks=([0-9]+)$")
-_MANIFEST_FAM = re.compile(r"^family=(\S+) eps=([01]+) block=([0-9]+) rows=(\S+)$")
+# integer fields are limited to 20 digits, so int() never meets a huge field
+_MANIFEST_HEAD = re.compile(
+    r"^filter=(\S+) d=([0-9]{1,20}) m=([0-9]{1,20}) dilation=([0-9]{1,20}) blocks=([0-9]{1,20})$"
+)
+_MANIFEST_FAM = re.compile(r"^family=(\S+) eps=([01]+) block=([0-9]{1,20}) rows=(\S+)$")
 
 
 def load_manifest(text: str) -> BasisND:
@@ -90,6 +93,11 @@ def load_manifest(text: str) -> BasisND:
         raise FileFormatError(f"malformed manifest header: {lines[0]!r}")
     name = head.group(1)
     d, m, dilation, nblocks = (int(head.group(i)) for i in (2, 3, 4, 5))
+    # checked before "0" * d, 2**m and the block list grow with the fields
+    if not (1 <= d <= MAX_ENUM_D and 1 <= m <= MAX_ENUM_M):
+        raise FileFormatError(f"manifest needs 1 <= d <= {MAX_ENUM_D}, 1 <= m <= {MAX_ENUM_M}; got d={d} m={m}")
+    if nblocks != m ** (d - 1):
+        raise FileFormatError(f"manifest lists {nblocks} blocks, d={d} m={m} has {m ** (d - 1)}")
     try:
         filt = filter_by_name(name)
     except ValueError as exc:

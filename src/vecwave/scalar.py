@@ -231,51 +231,60 @@ def _integer_values(filt: ScalarFilter) -> np.ndarray:
     return out
 
 
+def _tap_slices(shift: int, n_out: int, stride: int, offset: int, n_src: int) -> tuple:
+    """Slices ``(dst, src)`` so that ``out[dst] += c * table[src]`` adds one tap.
+
+    Output ``i`` in ``0..n_out-1`` reads ``table[stride * i + offset - shift]``
+    where that index lies in ``0..n_src-1``; a tap wholly outside the table
+    gives two empty slices, so it changes no bit of a +0.0 accumulator.
+    """
+    q0 = max(0, -((offset - shift) // stride))
+    q1 = max(q0, min(n_out, -((offset - shift - n_src) // stride)))
+    s0 = stride * q0 + offset - shift
+    return slice(q0, q1), slice(s0, s0 + stride * (q1 - q0), stride)
+
+
 def _phi_table(filt: ScalarFilter, J: int) -> np.ndarray:
     """Scaling-function values on the level-J grid over [0, L-1).
 
     Index p holds ``phi(p * 2**-J)``.  Even indices at each refinement are
     copied from the previous level, so restriction to a coarser grid is
     bitwise exact, and refinement resumes from the finest cached coarser
-    level instead of the integer grid.
+    level instead of the integer grid.  Odd index ``2q + 1`` of level
+    ``j + 1`` sums ``sqrt(2) h[i] * vals[2q + 1 - (h_start + i) 2**j]``: one
+    stride-2 slice add per tap, in tap order, into a +0.0 accumulator.
     """
-    L = filt.length
     coarser = [j for j in _cached_levels(filt, "scaling") if j < J]
     if coarser:
         j0, vals = coarser[-1], _table_cache[(_filter_key(filt), "scaling", coarser[-1])]
     else:
         j0, vals = 0, _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
     for j in range(j0, J):
-        n_new = (L - 1) * 2 ** (j + 1)
-        new = np.zeros(n_new)
+        new = np.zeros(2 * len(vals))
         new[0::2] = vals
-        odd = np.arange(1, n_new, 2)
-        acc = np.zeros(len(odd))
+        acc = new[1::2]
         for i, hk in enumerate(filt.h):
-            src = odd - (filt.h_start + i) * 2**j
-            ok = (src >= 0) & (src < len(vals))
-            acc[ok] += SQRT2 * hk * vals[src[ok]]
-        new[1::2] = acc
+            dst, src = _tap_slices((filt.h_start + i) * 2**j, len(acc), 2, 1, len(vals))
+            acc[dst] += SQRT2 * hk * vals[src]
         vals = new
     return vals
 
 
 def _psi_table(filt: ScalarFilter, J: int) -> np.ndarray:
-    """Wavelet values on the level-J grid over [1 - L/2, L/2)."""
+    """Wavelet values on the level-J grid over [1 - L/2, L/2).
+
+    ``psi(x) = sqrt(2) sum_i g[i] phi(2x - g_start - i)`` against the
+    level-max(J-1, 0) scaling table: one slice add per tap, in tap order,
+    into a +0.0 accumulator (stride 1, or stride 2 when J = 0).
+    """
     L = filt.length
     jp = max(J - 1, 0)
     phi = _table(filt, "scaling", jp)
-    n = (L - 1) * 2**J
-    p = np.arange(n) + (1 - L // 2) * 2**J
-    out = np.zeros(n)
-    shift = 2**jp if J >= 1 else 1
-    # psi(p 2^-J) = sqrt(2) sum_k g[k] phi(p 2^-(J-1) - k); for J = 0 the
-    # argument 2p - k is already an integer grid point.
-    base = 2 * p if J == 0 else p
+    out = np.zeros((L - 1) * 2**J)
+    stride, offset = (2, 2 - L) if J == 0 else (1, (1 - L // 2) * 2**J)
     for i, gk in enumerate(filt.g):
-        src = base - (filt.g_start + i) * shift
-        ok = (src >= 0) & (src < len(phi))
-        out[ok] += SQRT2 * gk * phi[src[ok]]
+        dst, src = _tap_slices((filt.g_start + i) * 2**jp, len(out), stride, offset, len(phi))
+        out[dst] += SQRT2 * gk * phi[src]
     return out
 
 

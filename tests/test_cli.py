@@ -111,6 +111,32 @@ def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
+def test_verify_rejects_oversized_manifest_fields(tmp_path, capsys):
+    """Header fields that would size allocations are checked first."""
+    good = build_manifest(tmp_path).read_text()
+    head, body = good.split("\n", 1)
+    assert head == "filter=haar d=2 m=2 dilation=4 blocks=2"
+    heads = [
+        "filter=haar d=300000000 m=2 dilation=4 blocks=2",
+        "filter=haar d=2 m=2 dilation=4 blocks=5000000",
+        "filter=haar d=2 m=5 dilation=32 blocks=5",
+        "filter=haar d=7 m=1 dilation=2 blocks=1",
+        "filter=haar d=0 m=2 dilation=4 blocks=2",
+        "filter=haar d=2 m=0 dilation=1 blocks=0",
+        "filter=haar d=2 m=2 dilation=4 blocks=4",
+        "filter=haar d=2 m=2 dilation=4 blocks=" + "9" * 21,
+        "filter=haar d=2 m=" + "9" * 5000 + " dilation=4 blocks=2",
+    ]
+    path = tmp_path / "bad.txt"
+    for bad in heads + [head + "\n" + body.replace("block=0", "block=" + "1" * 5000, 1)]:
+        path.write_text(bad if "\n" in bad else bad + "\n" + body)
+        assert main(["verify", "--manifest", str(path)]) == 2, bad[:80]
+    err = capsys.readouterr().err
+    assert err.count("error:") == len(heads) + 1
+    assert err.count("1 <= d <= 6, 1 <= m <= 4") == 5
+    assert err.count("malformed manifest") == 3
+
+
 def test_verify_refuses_an_oversized_sweep(tmp_path, capsys):
     # haar d=4 m=4 has 642 816 catalog atom rows at verify's parameters; the
     # sweep's size guard stops it before anything that size is built.
@@ -394,6 +420,27 @@ def test_plot_refuses_an_oversized_table(tmp_path, capsys):
     assert main(["plot", "--manifest", str(manifest), "--family", "Phi1",
                  "--j", "60", "--out", str(out)]) == 2
     assert "samples, more than the" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_refuses_an_oversized_raster(tmp_path, capsys):
+    # each haar factor table at J = 20 holds 2**20 samples, within the table
+    # guard; the d = 2 raster of both channels would hold 2**41
+    manifest = build_manifest(tmp_path, d=2, m=2)
+    out = tmp_path / "atom.svg"
+    assert main(["plot", "--manifest", str(manifest), "--family", "Phi1",
+                 "--j", "20", "--out", str(out)]) == 2
+    assert "sampling of this atom would hold 2199023255552 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_refuses_a_huge_levels_budget(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=1)
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    out = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(out), "--levels", "1000000000000000000000"]) == 2
+    assert "exceeds log2(n) = 6" in capsys.readouterr().err
     assert not out.exists()
 
 

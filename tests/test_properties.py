@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 
 from vecwave import (
     VecwaveError,
+    catalog_manifest,
     VectorSignal,
     analyze_vector,
     build_basis_nd,
@@ -22,6 +23,7 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.cli import load_manifest
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -102,10 +104,7 @@ edits = st.tuples(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(st.integers(0, len(VALID_FILES) - 1), st.lists(edits, min_size=1, max_size=4))
-def test_mutated_files_raise_only_vecwave_errors(index, mutations):
-    blob, basis = VALID_FILES[index]
+def _mutate(blob, mutations):
     data = bytearray(blob)
     for kind, pos, byte in mutations:
         pos %= len(data) + 1
@@ -116,6 +115,14 @@ def test_mutated_files_raise_only_vecwave_errors(index, mutations):
                 data[pos] = byte
             else:
                 del data[pos]
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, len(VALID_FILES) - 1), st.lists(edits, min_size=1, max_size=4))
+def test_mutated_files_raise_only_vecwave_errors(index, mutations):
+    blob, basis = VALID_FILES[index]
+    data = _mutate(blob, mutations)
     try:
         if basis is None:
             signal_from_bytes(bytes(data))
@@ -126,3 +133,20 @@ def test_mutated_files_raise_only_vecwave_errors(index, mutations):
             synthesize_vector(dec, basis)
     except VecwaveError:
         pass
+
+
+VALID_MANIFESTS = [
+    catalog_manifest(build_basis_nd(filter_by_name(name), d, m)).encode("ascii")
+    for name, d, m in (("haar", 1, 2), ("db2", 2, 2), ("haar", 3, 2))
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, len(VALID_MANIFESTS) - 1), st.lists(edits, min_size=1, max_size=4))
+def test_mutated_manifests_raise_only_vecwave_errors(index, mutations):
+    text = _mutate(VALID_MANIFESTS[index], mutations).decode("latin-1")
+    try:
+        basis = load_manifest(text)
+    except VecwaveError:
+        return
+    assert catalog_manifest(basis) == text.replace("\r\n", "\n")

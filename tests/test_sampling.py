@@ -248,3 +248,82 @@ def test_table_size_guard_fires_before_allocating():
     with pytest.raises(SizeGuardError):
         scaled_atom_sample(daubechies_filter(2), "scaling", 3, 0, 30)
     assert (filter_by_name("db10").length - 1) * 2**17 <= scalar.MAX_TABLE_SAMPLES
+
+
+def _mask_phi(filt, J, j0=0, vals=None):
+    """Reference refinement: the index-mask-and-gather form that the slice
+    kernel replaced, resuming from level ``j0`` values when given."""
+    L = filt.length
+    if vals is None:
+        vals = scalar._integer_values(filt)[:-1]
+    for j in range(j0, J):
+        n_new = (L - 1) * 2 ** (j + 1)
+        new = np.zeros(n_new)
+        new[0::2] = vals
+        odd = np.arange(1, n_new, 2)
+        acc = np.zeros(len(odd))
+        for i, hk in enumerate(filt.h):
+            src = odd - (filt.h_start + i) * 2**j
+            ok = (src >= 0) & (src < len(vals))
+            acc[ok] += math.sqrt(2.0) * hk * vals[src[ok]]
+        new[1::2] = acc
+        vals = new
+    return vals
+
+
+def _mask_psi(filt, J, phi):
+    """Reference wavelet sum in mask form, against the level-max(J-1, 0)
+    scaling table ``phi``."""
+    L = filt.length
+    n = (L - 1) * 2**J
+    p = np.arange(n) + (1 - L // 2) * 2**J
+    out = np.zeros(n)
+    shift = 2 ** (J - 1) if J >= 1 else 1
+    base = 2 * p if J == 0 else p
+    for i, gk in enumerate(filt.g):
+        src = base - (filt.g_start + i) * shift
+        ok = (src >= 0) & (src < len(phi))
+        out[ok] += math.sqrt(2.0) * gk * phi[src[ok]]
+    return out
+
+
+def _assert_kernels_match_mask_form(filt, levels, monkeypatch):
+    ref_phi = [_mask_phi(filt, 0)]
+    for J in range(1, max(levels) + 1):
+        ref_phi.append(_mask_phi(filt, J, J - 1, ref_phi[-1]))
+    for J in levels:
+        monkeypatch.setattr(scalar, "_table_cache", {})
+        assert scalar._phi_table(filt, J).tobytes() == ref_phi[J].tobytes(), ("scaling", J)
+        monkeypatch.setattr(scalar, "_table_cache", {})
+        ref_psi = _mask_psi(filt, J, ref_phi[max(J - 1, 0)])
+        assert scalar._psi_table(filt, J).tobytes() == ref_psi.tobytes(), ("wavelet", J)
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(2, 11)])
+def test_slice_kernels_equal_mask_form(name, monkeypatch):
+    """The one-slice-add-per-tap tables equal the mask-and-gather form's,
+    byte for byte, built from an empty cache."""
+    _assert_kernels_match_mask_form(filter_by_name(name), range(15), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["db3", "db10"])
+def test_slice_refinement_resumes_bitwise(name, monkeypatch):
+    """Refinement resumed from each cached coarser level gives the mask
+    form's bytes."""
+    filt = filter_by_name(name)
+    J = 10
+    expected = _mask_phi(filt, J).tobytes()
+    for j0 in range(J):
+        monkeypatch.setattr(scalar, "_table_cache", {})
+        scalar._table(filt, "scaling", j0)
+        assert scalar._phi_table(filt, J).tobytes() == expected, j0
+
+
+@pytest.mark.parametrize("h_start", [-3, -1, 0, 2, 7])
+@pytest.mark.parametrize("g_start", [-9, -4, 0, 3])
+def test_slice_kernels_shifted_taps(h_start, g_start, monkeypatch):
+    """Shifted offsets put whole taps outside the source table, where the
+    slices are empty; the tables still equal the mask form's."""
+    db3 = filter_by_name("db3")
+    filt = ScalarFilter("shifted", db3.h, h_start, db3.g, g_start, 3)
+    _assert_kernels_match_mask_form(filt, range(9), monkeypatch)
