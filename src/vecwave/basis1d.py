@@ -274,7 +274,7 @@ def _nesting_deviation(mw: Multiwavelet) -> float:
 
 
 class FactorInnerCache:
-    """Memoized quadrature inner products of 1D scalar factors.
+    """Quadrature inner products of 1D scalar factors over memoized samples.
 
     A key ``(kind, scale, shift)`` names the factor
     ``2**(scale/2) atom(2**scale x - shift)``.  Each pair is measured on a
@@ -288,7 +288,6 @@ class FactorInnerCache:
         self.filt = filt
         self.J = J
         self._samples = {}
-        self._inners = {}
 
     def _quad(self, key_a, key_b) -> float:
         grid = max(key_a[1], key_b[1]) + self.J
@@ -297,12 +296,6 @@ class FactorInnerCache:
             if skey not in self._samples:
                 self._samples[skey] = scaled_atom_sample(self.filt, *skey)
         return quad_inner(self._samples[sa], self._samples[sb])
-
-    def inner(self, key_a, key_b) -> float:
-        pair = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        if pair not in self._inners:
-            self._inners[pair] = self._quad(*pair)
-        return self._inners[pair]
 
     def gram(self, keys: list) -> np.ndarray:
         """Gram matrix of the listed keys, one quadrature per unordered pair.

@@ -106,6 +106,8 @@ class VectorAtomND:
             raise ValueError(
                 f"k has {len(self.k)} coordinates, eps has {len(self.eps)}"
             )
+        if any(b not in (0, 1) for b in self.eps):
+            raise ValueError(f"eps must be bits, got {self.eps}")
         if self.j < 0:
             raise ValueError(f"level must be >= 0, got {self.j}")
         if any(len(row) != len(self.eps) for row in self.rows):
@@ -287,16 +289,11 @@ def star_nd_separable(
     """The star pairing of two atoms via per-coordinate factorization.
 
     Entry (r, r') is the product over coordinates of scalar inner
-    products, so the full matrix costs m^2 * d cached lookups instead of
-    a dense d-dimensional quadrature.
+    products, gathered from one Gram table of the two atoms' distinct 1-D
+    factors instead of a dense d-dimensional quadrature.
     """
     keys, idx = _row_keys([atom_a, atom_b], basis.mw)
-    rows, cols = idx[:, : atom_a.m], idx[:, atom_a.m :]
-    gram = np.zeros((len(keys), len(keys)))
-    for r, c in zip(rows, cols):
-        for p, q in product(r, c):
-            gram[p, q] = cache.inner(keys[p], keys[q])
-    return MatrixM(_star_product(gram, rows, cols))
+    return MatrixM(_star_product(cache.gram(keys), idx[:, : atom_a.m], idx[:, atom_a.m :]))
 
 
 def catalog_atoms(basis: BasisND, max_level: int, k_range: int) -> list:

@@ -42,11 +42,11 @@ import re
 
 import numpy as np
 
-from .basis1d import VectorBasis1D
+from .basis1d import Multiwavelet, VectorBasis1D
 from .basisnd import BasisND, Partition, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter
-from .tensor import MAX_SAMPLE_D
+from .tensor import MAX_SAMPLE_D, factor_component
 
 __all__ = [
     "Band",
@@ -356,30 +356,25 @@ class VectorDecomposition:
 
 
 def _basis_params(basis, signal_d: int, signal_m: int):
+    """The basis's multiwavelet and block partition."""
     if isinstance(basis, VectorBasis1D):
         if signal_d != 1:
             raise DimensionError(f"1D basis cannot transform a {signal_d}D signal")
-        filt, m, part = basis.filter, basis.m, cyclic_partition(1, basis.m)
+        mw = Multiwavelet(basis.filter, basis.scaling_components(), basis.wavelet_components(0))
+        part = cyclic_partition(1, basis.m)
     elif isinstance(basis, BasisND):
         if basis.d != signal_d:
             raise DimensionError(f"basis dimension {basis.d} does not match signal dimension {signal_d}")
-        filt, m, part = basis.mw.filter, basis.m, basis.partition
+        mw, part = basis.mw, basis.partition
     else:
         raise TypeError(f"basis must be VectorBasis1D or BasisND, got {type(basis).__name__}")
-    if m != signal_m:
-        raise DimensionError(f"basis has {m} channels but signal has {signal_m}")
-    return filt, m, part
+    if mw.m != signal_m:
+        raise DimensionError(f"basis has {mw.m} channels but signal has {signal_m}")
+    return mw, part
 
 
-def _axis_desc(m: int, s0: int, t: int, eps_c: int, alpha_c: int) -> tuple:
-    # Scalar subband backing one axis of a family column: wavelet axes
-    # take the level-t shell scale alpha_c - 1, approx axes take the
-    # level-t scaling component alpha_c.
-    if eps_c:
-        return ("detail", s0 + m * t + m - 1 + alpha_c - 1)
-    if alpha_c == 1:
-        return ("approx", s0 + m * t)
-    return ("detail", s0 + m * t + alpha_c - 2)
+# the transform's names for the catalog's scalar atom kinds
+_SUBBAND_KIND = {"scaling": "approx", "wavelet": "detail"}
 
 
 def _wavelet_eps(d: int):
@@ -435,17 +430,21 @@ def _schedule(d: int, m: int, levels: int, s0: int):
     return tuple(ops), frozenset(leaves)
 
 
-def _pack_band(key, eps, level, block_idx, rows, pieces, m, s0, d):
+def _pack_band(key, eps, level, block_idx, rows, pieces, mw, s0, d):
     cols = []
     arrays = []
     t = max(level, 0)
     for alpha in rows:
-        descs = tuple(_axis_desc(m, s0, t, e, a) for e, a in zip(eps, alpha))
+        # catalog scale 0 is the transform's coarsest scale s0
+        descs = tuple(
+            (_SUBBAND_KIND[comp.kind], s0 + comp.scale)
+            for comp in (factor_component(mw, e, a, t) for e, a in zip(eps, alpha))
+        )
         arr = pieces.pop(descs)
         cols.append(tuple((kind, scale, length) for (kind, scale), length in zip(descs, arr.shape[1:])))
         arrays.append(arr)
     kmax = tuple(max(col[ax][2] for col in cols) for ax in range(d))
-    values = np.zeros((m, m) + kmax)
+    values = np.zeros((mw.m, mw.m) + kmax)
     for rho, arr in enumerate(arrays):
         sl = (slice(None), rho) + tuple(slice(0, length) for length in arr.shape[1:])
         values[sl] = arr
@@ -459,7 +458,8 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     The per-channel scalar pyramid runs m * levels + m - 1 steps deep;
     levels is capped by log2(n) accordingly.
     """
-    filt, m, part = _basis_params(basis, signal.d, signal.m)
+    mw, part = _basis_params(basis, signal.d, signal.m)
+    filt, m = mw.filter, mw.m
     smax = signal.n.bit_length() - 1
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
@@ -478,12 +478,12 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     bands = []
     base_eps = (0,) * d
     for l, rows in enumerate(part.blocks):
-        bands.append(_pack_band(f"base-b{l}", base_eps, -1, l, rows, pieces, m, s0, d))
+        bands.append(_pack_band(f"base-b{l}", base_eps, -1, l, rows, pieces, mw, s0, d))
     for t in range(levels):
         for eps in _wavelet_eps(d):
             bits = "".join(str(b) for b in eps)
             for l, rows in enumerate(part.blocks):
-                bands.append(_pack_band(f"w-e{bits}-t{t}-b{l}", eps, t, l, rows, pieces, m, s0, d))
+                bands.append(_pack_band(f"w-e{bits}-t{t}-b{l}", eps, t, l, rows, pieces, mw, s0, d))
     if pieces:
         raise RuntimeError(f"subbands left unconsumed by the regrouping: {sorted(pieces)}")
     return VectorDecomposition(d, m, signal.n, levels, filt.name, part, tuple(bands))
@@ -507,7 +507,8 @@ def _unpack_bands(dec: VectorDecomposition) -> dict:
 
 def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> VectorSignal:
     """Invert analyze_vector.  `n` (optional) cross-checks the grid size."""
-    filt, m, part = _basis_params(basis, dec.d, dec.m)
+    mw, part = _basis_params(basis, dec.d, dec.m)
+    filt, m = mw.filter, mw.m
     if filt.name != dec.filter_name:
         raise ValueError(f"decomposition was built with {dec.filter_name}, basis carries {filt.name}")
     if part.blocks != dec.partition.blocks:
@@ -546,6 +547,9 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
     if norm not in ("frobenius", "norm1"):
         raise ValueError(f"norm must be 'frobenius' or 'norm1', got {norm!r}")
     tau = float(tau)
+    # norms < nan is never true, so a NaN tau would quietly keep everything
+    if np.isnan(tau):
+        raise ValueError("threshold must not be NaN")
     bands = []
     for band in dec.bands:
         if band.level >= 0:

@@ -242,6 +242,16 @@ def test_transform_threshold_inf_keeps_approximation_only(tmp_path):
     assert np.max(np.abs(rec.values - sig.values)) > 1e-3
 
 
+def test_transform_refuses_a_nan_threshold(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=1)
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    out = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(out), "--levels", "2", "--threshold", "nan"]) == 2
+    assert "threshold must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_norm1_threshold_flag(tmp_path):
     manifest = build_manifest(tmp_path, d=1)
     sig_path, sig = write_signal(tmp_path, 2, (64,))

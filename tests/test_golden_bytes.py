@@ -44,6 +44,14 @@ GOLDEN = {
         "7eaede4eacfd28e9a06d3b20a6dafa0409e99f795a807bcee0116fc84ec97ca8",
         "b339ba0c5a25a5811f3597194f8071a87ae4d7f680a17ab869fafcb07842b6e2",
     ),
+    # taken from the hand-written per-axis scale map that preceded the
+    # catalog's factor_component in the band packing
+    ("db2", 3, 2, 16, 1, 104): (
+        "9aac50d6fc8696b7bf408d06b8acd1cf7b3421e241129407cbc8b06eb02bd12b",
+        "75631b4ac67c4da3045e821131ffe251587cdf8f8a401de71703be9f4d590aca",
+        "f85f10f89b277207a09a24a089ae173d77ee4a92814f51e44c41cfb91814137e",
+        "3dfdede55bbc7ff737a68100eef06d6415bd64839be7e946c9acbf1d339bb35c",
+    ),
 }
 
 

@@ -1,3 +1,7 @@
+"""Subband families, the factor map, and one-row catalog atoms as the
+separable scalar atoms: dense samples through `sample_vector_atom_nd`,
+pairings through `star`."""
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,22 +12,33 @@ from vecwave.basis1d import (
     matrix_refinement_filter,
     to_multiwavelet,
 )
-from vecwave.errors import ResolutionError, SizeGuardError
+from vecwave.basisnd import VectorAtomND, build_basis_nd, sample_vector_atom_nd
+from vecwave.errors import SizeGuardError
 from vecwave.scalar import filter_by_name, haar_filter, quad_inner, scaled_atom_sample
-from vecwave.tensor import (
-    SampledField,
-    TensorAtom,
-    enumerate_families,
-    factor_component,
-    families_to_csv,
-    field_inner,
-    gram_matrix,
-    sample_tensor_atom,
-)
+from vecwave.star import star
+from vecwave.tensor import enumerate_families, factor_component, families_to_csv
 
 
 def haar_mw(m=2):
     return to_multiwavelet(build_vector_basis(haar_filter(), m))
+
+
+def haar_basis(d, m=2):
+    return build_basis_nd(haar_filter(), d, m)
+
+
+def tensor_atom(j, k, eps, alpha):
+    """The separable scalar atom with factors (eps_i, alpha_i) at level j: a one-row catalog atom."""
+    return VectorAtomND(tuple(eps), 0, j, tuple(k), (tuple(alpha),))
+
+
+def inner(f, g) -> float:
+    return float(star(f, g).entries[0, 0])
+
+
+def gram(atoms, basis, J):
+    fields = [sample_vector_atom_nd(a, basis, J) for a in atoms]
+    return np.array([[inner(f, g) for g in fields] for f in fields])
 
 
 def test_family_counts():
@@ -74,16 +89,18 @@ def test_enumerate_guards():
 
 def test_atom_validation():
     with pytest.raises(ValueError):
-        TensorAtom(0, (0,), (0, 1), (1, 1))
+        tensor_atom(0, (0,), (0, 1), (1, 1))
     with pytest.raises(ValueError):
-        TensorAtom(0, (0, 0), (0, 2), (1, 1))
+        tensor_atom(0, (0, 0), (0, 2), (1, 1))
     with pytest.raises(ValueError):
-        TensorAtom(0, (0, 0), (0, 1), (1, 0))
+        tensor_atom(-1, (0, 0), (0, 1), (1, 1))
     with pytest.raises(ValueError):
-        TensorAtom(-1, (0, 0), (0, 1), (1, 1))
-    a = TensorAtom(1, (2, -3), (1, 0), (2, 1))
-    assert a.d == 2
-    assert a.e == 1
+        VectorAtomND((0, 1), 0, 0, (0, 0), ((1, 1), (1,)))
+    a = tensor_atom(1, (2, -3), (1, 0), (2, 1))
+    assert (a.d, a.m) == (2, 1)
+    # an index outside 1..m fails where its factor is looked up
+    with pytest.raises(ValueError):
+        sample_vector_atom_nd(tensor_atom(0, (0, 0), (0, 1), (1, 0)), haar_basis(2), 4)
 
 
 def test_factor_component_mapping():
@@ -100,81 +117,61 @@ def test_factor_component_mapping():
 
 
 def test_indicator_atom():
-    mw = haar_mw(2)
-    s = sample_tensor_atom(TensorAtom(0, (0, 0), (0, 0), (1, 1)), mw, 4)
+    s = sample_vector_atom_nd(tensor_atom(0, (0, 0), (0, 0), (1, 1)), haar_basis(2), 4)
     assert s.start == (0, 0)
-    assert s.values.shape == (16, 16)
-    assert_array_equal(s.values, np.ones((16, 16)))
+    assert s.values.shape == (1, 16, 16)
+    assert_array_equal(s.values, np.ones((1, 16, 16)))
 
 
 def test_translated_atom_window():
-    mw = haar_mw(2)
-    s = sample_tensor_atom(TensorAtom(0, (2, -1), (0, 0), (1, 2)), mw, 3)
+    s = sample_vector_atom_nd(tensor_atom(0, (2, -1), (0, 0), (1, 2)), haar_basis(2), 3)
     assert s.start == (2 * 8, -1 * 8)
-    assert s.values.shape == (8, 8)
+    assert s.values.shape == (1, 8, 8)
 
 
 def test_atom_norms_and_cross():
-    mw = haar_mw(2)
-    a = sample_tensor_atom(TensorAtom(0, (0, 0), (1, 1), (2, 1)), mw, 8)
-    b = sample_tensor_atom(TensorAtom(0, (0, 0), (1, 1), (1, 1)), mw, 8)
-    assert abs(field_inner(a, a) - 1.0) <= 1e-10
-    assert abs(field_inner(b, b) - 1.0) <= 1e-10
-    assert abs(field_inner(a, b)) <= 1e-10
+    b = haar_basis(2)
+    a = sample_vector_atom_nd(tensor_atom(0, (0, 0), (1, 1), (2, 1)), b, 8)
+    c = sample_vector_atom_nd(tensor_atom(0, (0, 0), (1, 1), (1, 1)), b, 8)
+    assert abs(inner(a, a) - 1.0) <= 1e-10
+    assert abs(inner(c, c) - 1.0) <= 1e-10
+    assert abs(inner(a, c)) <= 1e-10
 
 
 def test_gram_base_identity():
-    mw = haar_mw(2)
     atoms = [
-        TensorAtom(0, k, (0, 0), al)
+        tensor_atom(0, k, (0, 0), al)
         for k in [(0, 0), (1, 0), (0, 1), (-1, 2)]
         for al in [(1, 1), (1, 2), (2, 1), (2, 2)]
     ]
-    g = gram_matrix(atoms, mw, 8)
-    assert np.max(np.abs(g.entries - np.eye(len(atoms)))) <= 1e-10
+    g = gram(atoms, haar_basis(2), 8)
+    assert np.max(np.abs(g - np.eye(len(atoms)))) <= 1e-10
 
 
 def test_gram_mixed_levels_identity():
     # Base layer at level 0 plus wavelet atoms from levels 0 and 1.
-    mw = haar_mw(2)
     atoms = [
-        TensorAtom(0, (0, 0), (0, 0), (1, 2)),
-        TensorAtom(0, (0, 0), (1, 0), (1, 1)),
-        TensorAtom(0, (0, 0), (1, 1), (2, 2)),
-        TensorAtom(1, (0, 0), (1, 1), (1, 1)),
-        TensorAtom(1, (1, 0), (0, 1), (2, 1)),
-        TensorAtom(1, (0, 0), (1, 0), (2, 2)),
+        tensor_atom(0, (0, 0), (0, 0), (1, 2)),
+        tensor_atom(0, (0, 0), (1, 0), (1, 1)),
+        tensor_atom(0, (0, 0), (1, 1), (2, 2)),
+        tensor_atom(1, (0, 0), (1, 1), (1, 1)),
+        tensor_atom(1, (1, 0), (0, 1), (2, 1)),
+        tensor_atom(1, (0, 0), (1, 0), (2, 2)),
     ]
-    g = gram_matrix(atoms, mw, 8)
-    assert np.max(np.abs(g.entries - np.eye(6))) <= 1e-10
+    g = gram(atoms, haar_basis(2), 8)
+    assert np.max(np.abs(g - np.eye(6))) <= 1e-10
 
 
 def test_gram_single_atom():
-    mw = haar_mw(3)
-    g = gram_matrix([TensorAtom(0, (0,), (1,), (3,))], mw, 8)
-    assert_allclose(g.entries, [[1.0]], atol=1e-10)
-
-
-def test_gram_guard():
-    mw = haar_mw(2)
-    atoms = [TensorAtom(0, (k, 0), (0, 0), (1, 1)) for k in range(513)]
-    with pytest.raises(SizeGuardError):
-        gram_matrix(atoms, mw, 4)
-
-
-def test_sample_guards():
-    mw = haar_mw(2)
-    with pytest.raises(SizeGuardError):
-        sample_tensor_atom(TensorAtom(0, (0,) * 4, (0,) * 4, (1,) * 4), mw, 4)
-    # Level 3 wavelet factors reach scalar scale 8, finer than J=4.
-    with pytest.raises(ResolutionError):
-        sample_tensor_atom(TensorAtom(3, (0, 0), (1, 1), (2, 2)), mw, 4)
+    g = gram([tensor_atom(0, (0,), (1,), (3,))], haar_basis(1, 3), 8)
+    assert_allclose(g, [[1.0]], atol=1e-10)
 
 
 def test_separable_gram_factorization():
     # Every pairing factorizes into the product of per-coordinate scalar
     # inner products.
-    mw = haar_mw(2)
+    b = haar_basis(2)
+    mw = b.mw
     rng = np.random.default_rng(11)
     shapes = [(eps, al) for f in enumerate_families(2, 2) for (eps, al) in f.members]
     J = 8
@@ -183,86 +180,67 @@ def test_separable_gram_factorization():
         ja, jb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         ka = tuple(int(v) for v in rng.integers(-2, 3, size=2))
         kb = tuple(int(v) for v in rng.integers(-2, 3, size=2))
-        a = TensorAtom(ja, ka, ea[0], ea[1])
-        b = TensorAtom(jb, kb, eb[0], eb[1])
-        joint = field_inner(sample_tensor_atom(a, mw, J), sample_tensor_atom(b, mw, J))
+        a = tensor_atom(ja, ka, ea[0], ea[1])
+        c = tensor_atom(jb, kb, eb[0], eb[1])
+        joint = inner(sample_vector_atom_nd(a, b, J), sample_vector_atom_nd(c, b, J))
         parts = 1.0
         for i in range(2):
-            ca = factor_component(mw, a.eps[i], a.alpha[i], a.j)
-            cb = factor_component(mw, b.eps[i], b.alpha[i], b.j)
+            ca = factor_component(mw, a.eps[i], a.rows[0][i], a.j)
+            cc = factor_component(mw, c.eps[i], c.rows[0][i], c.j)
             fa = scaled_atom_sample(mw.filter, ca.kind, ca.scale, a.k[i], J)
-            fb = scaled_atom_sample(mw.filter, cb.kind, cb.scale, b.k[i], J)
-            parts *= quad_inner(fa, fb)
+            fc = scaled_atom_sample(mw.filter, cc.kind, cc.scale, c.k[i], J)
+            parts *= quad_inner(fa, fc)
         assert abs(joint - parts) <= 1e-12
 
 
 def test_base_atom_nesting():
     # A level-0 base atom expands through the per-coordinate refinement
     # taps into level-1 base atoms with alpha = (1, 1).
-    mw = haar_mw(2)
-    basis = build_vector_basis(haar_filter(), 2)
-    mf = matrix_refinement_filter(basis)
+    b = haar_basis(2)
+    mf = matrix_refinement_filter(build_vector_basis(haar_filter(), 2))
     J = 6
     for alpha in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        target = sample_tensor_atom(TensorAtom(0, (0, 0), (0, 0), alpha), mw, J)
+        target = sample_vector_atom_nd(tensor_atom(0, (0, 0), (0, 0), alpha), b, J)
         taps = [mf.taps[:, alpha[i] - 1, 0] for i in range(2)]
-        lo = [target.start[i] for i in range(2)]
-        hi = [target.start[i] + target.values.shape[i] for i in range(2)]
+        lo = list(target.start)
+        hi = [target.start[i] + target.values.shape[1 + i] for i in range(2)]
         pieces = []
         for i1, c1 in enumerate(taps[0]):
             for i2, c2 in enumerate(taps[1]):
                 if c1 * c2 == 0.0:
                     continue
                 k = (mf.start + i1, mf.start + i2)
-                f = sample_tensor_atom(TensorAtom(1, k, (0, 0), (1, 1)), mw, J)
+                f = sample_vector_atom_nd(tensor_atom(1, k, (0, 0), (1, 1)), b, J)
                 pieces.append((c1 * c2, f))
                 for ax in range(2):
                     lo[ax] = min(lo[ax], f.start[ax])
-                    hi[ax] = max(hi[ax], f.start[ax] + f.values.shape[ax])
-        acc = np.zeros((hi[0] - lo[0], hi[1] - lo[1]))
-        for c, f in pieces:
-            sl = tuple(
-                slice(f.start[ax] - lo[ax], f.start[ax] - lo[ax] + f.values.shape[ax])
+                    hi[ax] = max(hi[ax], f.start[ax] + f.values.shape[1 + ax])
+
+        def window(f):
+            return tuple(
+                slice(f.start[ax] - lo[ax], f.start[ax] - lo[ax] + f.values.shape[1 + ax])
                 for ax in range(2)
             )
-            acc[sl] += c * f.values
+
+        acc = np.zeros((hi[0] - lo[0], hi[1] - lo[1]))
+        for c, f in pieces:
+            acc[window(f)] += c * f.values[0]
         full = np.zeros_like(acc)
-        sl = tuple(
-            slice(
-                target.start[ax] - lo[ax],
-                target.start[ax] - lo[ax] + target.values.shape[ax],
-            )
-            for ax in range(2)
-        )
-        full[sl] = target.values
+        full[window(target)] = target.values[0]
         assert np.max(np.abs(full - acc)) <= 1e-10
 
 
 def test_db2_atom_norm_converges():
     # Smooth-filter quadrature error shrinks as the grid refines past the
     # atom's finest factor scale.
-    mw = to_multiwavelet(build_vector_basis(filter_by_name("db2"), 2))
-    atom = TensorAtom(0, (0, 0), (1, 1), (1, 2))
+    b = build_basis_nd(filter_by_name("db2"), 2, 2)
+    atom = tensor_atom(0, (0, 0), (1, 1), (1, 2))
     devs = []
     for J in (7, 9):
-        s = sample_tensor_atom(atom, mw, J)
-        devs.append(abs(field_inner(s, s) - 1.0))
+        s = sample_vector_atom_nd(atom, b, J)
+        devs.append(abs(inner(s, s) - 1.0))
     assert devs[1] < devs[0]
     assert devs[1] <= 1e-2
-
-
-def test_field_validation():
-    with pytest.raises(ValueError):
-        SampledField((0,), 4, np.ones((3, 3)))
-    a = SampledField((0, 0), 4, np.ones((2, 2)))
-    b = SampledField((0, 0), 5, np.ones((2, 2)))
-    with pytest.raises(ResolutionError):
-        field_inner(a, b)
-    c = SampledField((0,), 4, np.ones(2))
-    with pytest.raises(ValueError):
-        field_inner(a, c)
-    far = SampledField((10, 10), 4, np.ones((2, 2)))
-    assert field_inner(a, far) == 0.0
 
 
 def test_families_csv_golden():

@@ -23,11 +23,14 @@ from vecwave import (
     filter_by_name,
     idwt2_channel,
     idwt_channel,
+    make_atom,
+    sample_vector_atom_nd,
     signal_from_bytes,
     signal_to_bytes,
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.basisnd import FamilyND
 from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step
 
 HAAR = filter_by_name("haar")
@@ -449,6 +452,14 @@ def test_threshold_tau_inf_keeps_approx_only():
                     assert not np.any(band.values[:, r])
 
 
+def test_threshold_nan_is_refused():
+    # norms < nan is never true, so a NaN tau would keep every coefficient
+    dec = analyze_vector(VectorSignal(np.random.default_rng(12).standard_normal((2, 32))), build_vector_basis(HAAR, 2), 1)
+    for tau in (np.nan, float("nan"), "nan"):
+        with pytest.raises(ValueError, match="NaN"):
+            threshold_matrix(dec, tau)
+
+
 def test_threshold_zeroes_exactly_one_of_two_matrices():
     basis = build_vector_basis(HAAR, 2)
     dec = analyze_vector(VectorSignal(np.zeros((2, 16))), basis, 1)
@@ -649,3 +660,64 @@ def test_regrouping_bijection_3d():
     total = sum(2 * lx * ly * lz for ((_, _, lx), (_, _, ly), (_, _, lz)) in triples)
     assert total == 2 * 32**3
     assert dec.census() == 2 * 32**3
+
+
+# ---------------------------------------------------------------------------
+# the bands hold star products with the catalog's atoms
+
+
+def _catalog_band(x: np.ndarray, basis, band, depth: int) -> np.ndarray:
+    """What `band.values` must hold: entry (r, rho, k...) is <x_r, row rho of
+    the band family's catalog atom at translate k>, with the atom sampled one
+    sample per signal sample (J = depth) and periodized mod n.
+
+    Row rho of an atom is the product of one factor per axis, and on axis i
+    the factors of all m rows at translate k_i are the rows of a one-axis
+    catalog atom.  So each axis samples one such atom per k_i, where the
+    full atoms would be one per k, with windows that grow with k.
+    """
+    (fam,) = [f for fams in basis.families for f in fams if (f.eps, f.block) == (band.eps, band.block)]
+    m, d, n = x.shape[0], x.ndim - 1, x.shape[1]
+    tables = []
+    for i, size in enumerate(band.values.shape[2:]):
+        axis_fam = FamilyND(fam.name, (fam.eps[i],), fam.block, tuple((row[i],) for row in fam.rows))
+        table = np.zeros((m, size, n))
+        for k in range(size):
+            f = sample_vector_atom_nd(make_atom(axis_fam, max(band.level, 0), (k,)), basis, depth)
+            wrapped = np.arange(f.start[0], f.start[0] + f.values.shape[1]) % n
+            for rho in range(m):
+                table[rho, k] = np.bincount(wrapped, weights=f.values[rho], minlength=n)
+        # catalog scale s is scalar scale s0 + s with s0 = log2(n) - depth,
+        # which puts 2^(-depth/2) on each axis
+        tables.append(table * 2.0 ** (-depth / 2))
+    if d == 1:
+        want = np.einsum("rp,sap->rsa", x, tables[0])
+    else:
+        # axis 2 first, then axis 1: two small contractions, not one of all four indices
+        want = np.einsum("sap,rpsb->rsab", tables[0], np.tensordot(x, tables[1], axes=(2, 2)))
+    # slots past a column's length are structural zeros
+    for rho in range(m):
+        valid = (slice(None), rho) + tuple(slice(0, length) for length in band.col_lengths(rho))
+        column = want[valid].copy()
+        want[:, rho] = 0.0
+        want[valid] = column
+    return want
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("levels", (0, 1, 2))
+def test_bands_are_star_products_with_catalog_atoms_haar(d, m, levels):
+    depth = m * levels + m - 1
+    n = 2 ** max(depth, 5)
+    basis = build_basis_nd(HAAR, d, m)
+    x = np.random.default_rng(13).standard_normal((m,) + (n,) * d)
+    dec = analyze_vector(VectorSignal(x), basis, levels)
+    for band in dec.bands:
+        want = _catalog_band(x, basis, band, depth)
+        assert np.max(np.abs(band.values - want)) <= 1e-12 * np.max(np.abs(want)), band.key
+    if d == 1:
+        # the stacked 1-D basis packs the same bands
+        assert decomposition_to_bytes(analyze_vector(VectorSignal(x), build_vector_basis(HAAR, m), levels)) == (
+            decomposition_to_bytes(dec)
+        )
