@@ -37,6 +37,10 @@ _MAX_MOMENT = 12
 # deepest table the tests, demos and benchmark reach is 19 * 2**17 (db10).
 MAX_TABLE_SAMPLES = 1 << 26
 
+# Finest grid level of a scaled atom: past it the step 2**-J is no longer a
+# normal float, and since scale <= J the amplitude 2**(scale/2) stays finite.
+MAX_GRID_LEVEL = 1022
+
 
 @dataclass(frozen=True)
 class ScalarFilter:
@@ -315,10 +319,13 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
     """
     if which not in ("scaling", "wavelet"):
         raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
-    if (filt.length - 1) * 2**J > MAX_TABLE_SAMPLES:
+    # the finest level whose (L - 1) * 2**J samples fit, found without
+    # computing 2**J, which for a J from a flag or file could be any size
+    finest = (MAX_TABLE_SAMPLES // (filt.length - 1)).bit_length() - 1
+    if J > finest:
         raise SizeGuardError(
-            f"a level-{J} table of {filt.name} would hold {(filt.length - 1) * 2**J} samples, "
-            f"more than the {MAX_TABLE_SAMPLES} allowed"
+            f"a level-{J} table of {filt.name} would hold {filt.length - 1} * 2**{J} samples, "
+            f"more than the {MAX_TABLE_SAMPLES} allowed (level {finest} at most)"
         )
     key = (_filter_key(filt), which, J)
     if key not in _table_cache:
@@ -386,12 +393,17 @@ def scaled_atom_sample(
         raise ResolutionError(
             f"grid level {J} too coarse for atom at scale {scale}"
         )
-    start = (support_start(filt, which) + k) * 2 ** (J - scale)
+    if J > MAX_GRID_LEVEL:
+        raise SizeGuardError(
+            f"grid level {J} is past {MAX_GRID_LEVEL}, the finest with a normal float step"
+        )
     key = (_filter_key(filt), which, scale, J)
     if key not in _scaled_cache:
         values = 2.0 ** (scale / 2.0) * _table(filt, which, J - scale)
         values.flags.writeable = False
         _scaled_cache[key] = values
+    # the table guard above has bounded J - scale
+    start = (support_start(filt, which) + k) * 2 ** (J - scale)
     return SampledFunction(start, J, _scaled_cache[key])
 
 
@@ -453,15 +465,3 @@ def sampled_from_csv(text: str) -> SampledFunction:
     if len(vals) != n:
         raise FileFormatError(f"expected {n} values, found {len(vals)}")
     return SampledFunction(start, level, vals)
-
-
-def moment_exact_zero(f: SampledFunction) -> bool:
-    """True when the order-0 moment is exactly zero in exact arithmetic.
-
-    Uses Fraction accumulation of the stored float values, so balanced
-    positive and negative samples cancel without rounding.
-    """
-    acc = Fraction(0)
-    for v in f.values:
-        acc += Fraction(v)
-    return acc == 0

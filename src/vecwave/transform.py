@@ -294,10 +294,13 @@ class Band:
             for ax, (kind, scale, length) in enumerate(col):
                 if kind not in ("approx", "detail"):
                     raise ValueError(f"unknown subband kind {kind!r}")
+                # 2**scale translates must fit the axis; checking that first
+                # bounds scale before 2**scale is computed
+                finest = values.shape[2 + ax].bit_length() - 1
+                if not 0 <= scale <= finest:
+                    raise ValueError(f"scale {scale} is outside 0..{finest}, the scales a translate axis of {values.shape[2 + ax]} holds")
                 if length != 2**scale:
                     raise ValueError(f"length {length} does not match scale {scale}")
-                if length > values.shape[2 + ax]:
-                    raise ValueError(f"column length {length} exceeds translate axis {values.shape[2 + ax]}")
         if not np.isfinite(values).all():
             raise ValueError("band holds a NaN or infinite value")
         values.flags.writeable = False

@@ -14,8 +14,10 @@ from vecwave.basis1d import (
     to_multiwavelet,
     translate_gram_deviation,
 )
+from vecwave.basisnd import build_basis_nd
 from vecwave.errors import NotOrthonormalError, ResolutionError
 from vecwave.scalar import (
+    ScalarFilter,
     filter_by_name,
     haar_filter,
     quad_inner,
@@ -276,6 +278,53 @@ def test_refine_residual_resolution_guard():
         refine_residual(b, mf, 2)
 
 
+# The per-tap loop form that one sample per generator replaced, kept as a
+# bitwise reference.
+def _loop_refine_residual(basis, mf, J):
+    m = basis.m
+    target = sample_vector_atom(basis, "scaling", 0, J)
+    comps = basis.scaling_components()
+    lo = target.start[0]
+    hi = lo + target.values.shape[1]
+    pieces = []
+    for i in range(len(mf.taps)):
+        k = mf.start + i
+        for c_idx, comp in enumerate(comps):
+            coeffs = mf.taps[i, :, c_idx]
+            if not np.any(coeffs):
+                continue
+            atom = scaled_atom_sample(
+                basis.filter, comp.kind, m + comp.scale, (2**comp.scale) * k, J
+            )
+            pieces.append((coeffs, atom))
+            lo = min(lo, atom.start)
+            hi = max(hi, atom.start + len(atom.values))
+    rhs = np.zeros((m, hi - lo))
+    for coeffs, atom in pieces:
+        seg = slice(atom.start - lo, atom.start - lo + len(atom.values))
+        rhs[:, seg] += np.outer(coeffs, atom.values)
+    full = np.zeros((m, hi - lo))
+    t0 = target.start[0] - lo
+    full[:, t0 : t0 + target.values.shape[1]] = target.values
+    return float(np.max(np.sum(np.abs(full - rhs), axis=0)))
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db10"])
+def test_refine_residual_matches_loop_bitwise(name):
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        b = build_vector_basis(filter_by_name(name), m)
+        mf = matrix_refinement_filter(b)
+        # the real taps fill only column 0; random ones, some columns and
+        # taps zeroed, reach the later columns and their scales
+        noise = rng.standard_normal((5, m, m)) * (rng.random((5, 1, m)) < 0.7)
+        filters = (mf, MatrixFilter(noise, -3, mf.dilation))
+        for f in filters:
+            for J in (2 * m, 2 * m + 3):
+                got = refine_residual(b, f, J)
+                assert got.hex() == _loop_refine_residual(b, f, J).hex()
+
+
 def test_matrix_filter_validation():
     with pytest.raises(ValueError):
         MatrixFilter(np.zeros((4, 2, 3)), 0, 4)
@@ -301,6 +350,33 @@ def test_to_multiwavelet_db2_m3():
     mw = to_multiwavelet(b)
     assert mw.m == 3
     assert mw.wavelets == tuple(Component("wavelet", 2 + r) for r in range(3))
+
+
+def _perturbed_filter(defect: str) -> ScalarFilter:
+    """A builtin filter with one defect in its low-pass taps or their offset."""
+    base = filter_by_name("db4" if defect == "swapped-taps" else "db2")
+    h, h_start = base.h.copy(), base.h_start
+    if defect == "scaled-tap":
+        h[0] *= 1.01
+    elif defect == "swapped-taps":
+        # db2's two middle taps would not do: swapped, they still admit a
+        # refinable phi, which only the filter axioms reject
+        h[[1, 2]] = h[[2, 1]]
+    else:
+        h_start += 1
+    return ScalarFilter(
+        f"{base.name}-{defect}", h, h_start, base.g, base.g_start, base.vanishing_moments
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("defect", ["scaled-tap", "swapped-taps", "shifted-h-start"])
+def test_to_multiwavelet_rejects_a_perturbed_filter(defect, m):
+    filt = _perturbed_filter(defect)
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        to_multiwavelet(build_vector_basis(filt, m))
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        build_basis_nd(filt, 2, m)
 
 
 def test_translate_gram_deviation_haar():

@@ -1,5 +1,8 @@
 """End-to-end command-line tests through main(argv)."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -442,6 +445,43 @@ def test_plot_refuses_an_oversized_raster(tmp_path, capsys):
                  "--j", "20", "--out", str(out)]) == 2
     assert "sampling of this atom would hold 2199023255552 samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_refused_at_once(capsys, argv, limit):
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert limit in err
+    assert "integer string conversion" not in err
+
+
+@pytest.mark.parametrize("case", ["verify-j", "env-j", "plot-j"])
+def test_huge_grid_levels_are_refused_at_once(tmp_path, capsys, monkeypatch, case):
+    # computed first, 2**J would take time and memory that grow with J
+    manifest = str(build_manifest(tmp_path, name="db2", d=1, m=2))
+    argv = {
+        "verify-j": ["verify", "--manifest", manifest, "--j", str(10**9)],
+        "env-j": ["verify", "--manifest", manifest],
+        "plot-j": ["plot", "--manifest", manifest, "--family", "Phi1",
+                   "--j", str(10**9), "--out", str(tmp_path / "phi.svg")],
+    }[case]
+    if case == "env-j":
+        monkeypatch.setenv("VECWAVE_J", str(10**12))
+    assert_refused_at_once(capsys, argv, "past 1022")
+
+
+def test_huge_band_scale_is_refused_at_once(tmp_path, capsys):
+    manifest = str(build_manifest(tmp_path, name="db2", d=1, m=2))
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    dec_path = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", manifest,
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    blob = re.sub(rb"detail:[0-9]+:", b"detail:%d:" % 10**12, dec_path.read_bytes(), count=1)
+    dec_path.write_bytes(blob)
+    assert_refused_at_once(capsys, ["transform", "--in", str(dec_path), "--manifest", manifest,
+                                    "--out", str(tmp_path / "rec.vwav"), "--inverse"], "outside 0..")
 
 
 def test_transform_refuses_a_huge_levels_budget(tmp_path, capsys):

@@ -12,7 +12,6 @@ from vecwave.scalar import (
     filter_by_name,
     haar_filter,
     moment,
-    moment_exact_zero,
     quad_inner,
     refine_sample,
     sampled_from_csv,
@@ -106,13 +105,6 @@ def test_wavelet_moments_vanish_under_quadrature():
         w = refine_sample(filter_by_name(name), "wavelet", 10)
         assert abs(moment(w, 0)) <= 1e-12
         assert abs(moment(w, 1)) <= 1e-12
-
-
-def test_haar_wavelet_moment_exactly_zero():
-    w = refine_sample(haar_filter(), "wavelet", 5)
-    assert moment_exact_zero(w)
-    p = refine_sample(haar_filter(), "scaling", 5)
-    assert not moment_exact_zero(p)
 
 
 def test_scaled_atom_translation_and_norm():
@@ -248,6 +240,18 @@ def test_table_size_guard_fires_before_allocating():
     with pytest.raises(SizeGuardError):
         scaled_atom_sample(daubechies_filter(2), "scaling", 3, 0, 30)
     assert (filter_by_name("db10").length - 1) * 2**17 <= scalar.MAX_TABLE_SAMPLES
+
+
+def test_huge_levels_are_refused_before_any_power_of_two():
+    # 2**J for these J would be an integer of 10**11 digits or more
+    with pytest.raises(SizeGuardError, match="level 24 at most"):
+        refine_sample(daubechies_filter(2), "scaling", 10**12)
+    with pytest.raises(SizeGuardError, match="past 1022"):
+        scaled_atom_sample(daubechies_filter(2), "scaling", 0, 0, 10**12)
+    # a fine atom on a grid only a few levels finer: its amplitude
+    # 2**(scale/2) would overflow a float
+    with pytest.raises(SizeGuardError, match="past 1022"):
+        scaled_atom_sample(haar_filter(), "wavelet", 2000, 0, 2004)
 
 
 def _mask_phi(filt, J, j0=0, vals=None):

@@ -198,6 +198,13 @@ def test_band_rejects_four_translate_axes():
         Band("w", (1, 0, 0, 0), 0, 0, ((("detail", 0, 1),) * 4,), np.zeros((1,) * 6))
 
 
+@pytest.mark.parametrize("scale", [-1, 3, 10**12])
+def test_band_bounds_a_column_scale_by_its_axis(scale):
+    # four translates hold scales 0..2; the bound comes before 2**scale
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        Band("w", (1,), 0, 0, ((("detail", scale, 4),),), np.zeros((1, 1, 4)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_band_rejects_non_finite(bad):
     dec = analyze_vector(VectorSignal(np.ones((2, 16))), build_vector_basis(DB2, 2), 1)
