@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotOrthonormalError, ResolutionError
-from .scalar import ScalarFilter, quad_inner, scaled_atom_sample
+from .scalar import ScalarFilter, filter_deviations, quad_inner, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction, stack_channels
 
 
@@ -223,11 +223,20 @@ def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
     wavelets.  Before returning, the matrix two-scale relation
     Phi(x) = sum_k P_k Phi(2^m x - k) with the taps of
     :func:`matrix_refinement_filter` is sampled by :func:`refine_residual`
-    on the level-m grid; a residual above 1e-10 raises RuntimeError.
+    on the level-m grid; a residual above 1e-10 raises RuntimeError.  A
+    filter whose taps then miss the ``sum`` or ``orthonormality`` axiom of
+    :func:`filter_deviations` by more than 1e-12 raises NotOrthonormalError:
+    its cascade may still refine, but its translates are not orthonormal.
     """
     dev = refine_residual(basis, matrix_refinement_filter(basis), basis.m)
     if dev > 1e-10:
         raise RuntimeError(f"two-scale refinement residual {dev:.3e} exceeds 1e-10")
+    axioms = filter_deviations(basis.filter)
+    if axioms["sum"] > 1e-12 or axioms["orthonormality"] > 1e-12:
+        raise NotOrthonormalError(
+            f"filter {basis.filter.name} misses the orthonormal filter axioms by more than "
+            f"1e-12: sum {axioms['sum']:.3e}, orthonormality {axioms['orthonormality']:.3e}"
+        )
     return Multiwavelet(
         basis.filter, basis.scaling_components(), basis.wavelet_components(0)
     )

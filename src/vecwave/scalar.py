@@ -104,14 +104,18 @@ def filter_deviations(filt: ScalarFilter) -> dict:
 
 
 def _exact_wavelet_moments(g: np.ndarray, g_start: int, count: int) -> list:
-    """Moments ``sum_k g[k] k**p`` for ``p < count``, as exact Fractions."""
-    out = []
-    for p in range(count):
-        acc = Fraction(0)
-        for i, gi in enumerate(g):
-            acc += Fraction(float(gi)) * Fraction(g_start + i) ** p
-        out.append(acc)
-    return out
+    """Moments ``sum_k g[k] k**p`` for ``p < count``, as exact Fractions.
+
+    Every float tap is ``num / 2**e``; shifted onto the largest such
+    denominator, the taps become integers and each sum runs in Python ints.
+    """
+    ratios = [float(gi).as_integer_ratio() for gi in g]
+    shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    nums = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    return [
+        Fraction(sum(num * (g_start + i) ** p for i, num in enumerate(nums)), 1 << shift)
+        for p in range(count)
+    ]
 
 
 def _qmf_pair(h: np.ndarray) -> tuple[np.ndarray, int]:

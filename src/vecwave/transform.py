@@ -25,15 +25,18 @@ Every step is a periodized orthonormal filter pair, hence exactly
 orthogonal for any even length: analysis and synthesis invert each other
 to rounding error and energy is conserved.  With m = 1 the scheme
 degenerates bitwise to the classic scalar pyramid.  The steps are
-polyphase.  Analysis extends its input periodically once along the axis
-(not at all when no tap wraps, as for haar) and adds one stride-2 slice of
-it per tap.  In synthesis, tap i of a filter starting at offset s adds a
-contiguous slice of the periodically extended subband into the output
-samples of parity (s + i) % 2, so no product with an upsampling zero is
-formed.  Sums start from +0.0 and take the h taps in order, then the g
-taps; the products a zero-upsampled form adds on top are +-0.0, which
-change no such sum, so both steps match the textbook periodic filter bank
-bit for bit, signed zeros included.
+polyphase.  Analysis gathers the even and the odd phase of the periodic
+extension of its input along the axis once, each into one contiguous array
+(a copy of a stride-2 slice when no index wraps, as for haar), and tap i of
+a filter starting at offset s adds a contiguous slice of the phase of
+parity (s + i - lo) % 2, lo the smaller start, multiplied into one reused
+product buffer.  In synthesis, tap i adds a contiguous slice of the
+periodically extended subband into the output samples of parity
+(s + i) % 2, so no product with an upsampling zero is formed.  Sums start
+from +0.0 and take the h taps in order, then the g taps; the products a
+zero-upsampled form adds on top are +-0.0, which change no such sum, so
+both steps match the textbook periodic filter bank bit for bit, signed
+zeros included.
 """
 
 from dataclasses import dataclass, replace
@@ -117,28 +120,34 @@ def _slices(ndim: int, axis: int, sl) -> tuple:
     return tuple(out)
 
 
-def _wrap(a: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
-    """Periodic extension of `a` along `axis` over the index window [lo, hi)."""
+def _wrap(a: np.ndarray, lo: int, hi: int, axis: int, step: int = 1) -> np.ndarray:
+    """Periodic extension of `a` along `axis` at the indices lo, lo + step, ... below hi."""
     n = a.shape[axis]
     if 0 <= lo and hi <= n:
-        return a[_slices(a.ndim, axis, slice(lo, hi))]
-    return np.take(a, np.arange(lo, hi) % n, axis=axis)
+        return a[_slices(a.ndim, axis, slice(lo, hi, step))]
+    return np.take(a, np.arange(lo, hi, step) % n, axis=axis)
 
 
 def _axis_analyze_step(a: np.ndarray, filt: ScalarFilter, axis: int):
     n = a.shape[axis]
     if n % 2 or n < 2:
         raise ValueError(f"axis length must be even to step down, got {n}")
+    half = n // 2
     lo = min(filt.h_start, filt.g_start)
-    ext = _wrap(a, lo, max(filt.h_start, filt.g_start) + filt.length + n - 2, axis)
+    hi = max(filt.h_start, filt.g_start) + filt.length + n - 2
+    # tap i of a filter starting at s adds c * a[(2j + s + i) % n] to band[j]:
+    # a contiguous slice of the even or odd phase of the extension over [lo, hi)
+    phases = [np.ascontiguousarray(_wrap(a, lo + p, hi, axis, 2)) for p in (0, 1)]
     shape = list(a.shape)
-    shape[axis] = n // 2
+    shape[axis] = half
     approx = np.zeros(shape)
     detail = np.zeros(shape)
+    prod = np.empty(shape)
     for acc, taps, start in ((approx, filt.h, filt.h_start), (detail, filt.g, filt.g_start)):
         for i, c in enumerate(taps):
             k = start + i - lo
-            acc += c * ext[_slices(a.ndim, axis, slice(k, k + n - 1, 2))]
+            np.multiply(c, phases[k % 2][_slices(a.ndim, axis, slice(k // 2, k // 2 + half))], out=prod)
+            acc += prod
     return approx, detail
 
 

@@ -358,9 +358,9 @@ def _perturbed_filter(defect: str) -> ScalarFilter:
     h, h_start = base.h.copy(), base.h_start
     if defect == "scaled-tap":
         h[0] *= 1.01
-    elif defect == "swapped-taps":
-        # db2's two middle taps would not do: swapped, they still admit a
-        # refinable phi, which only the filter axioms reject
+    elif defect in ("swapped-taps", "swapped-middle-taps"):
+        # db2's two middle taps swapped still admit a refinable phi, which
+        # only the filter axioms reject; db4's do not
         h[[1, 2]] = h[[2, 1]]
     else:
         h_start += 1
@@ -377,6 +377,24 @@ def test_to_multiwavelet_rejects_a_perturbed_filter(defect, m):
         to_multiwavelet(build_vector_basis(filt, m))
     with pytest.raises(RuntimeError, match="exceeds 1e-10"):
         build_basis_nd(filt, 2, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_to_multiwavelet_rejects_a_refinable_non_orthonormal_filter(m):
+    filt = _perturbed_filter("swapped-middle-taps")
+    with pytest.raises(NotOrthonormalError, match="orthonormality 3.750e-01"):
+        to_multiwavelet(build_vector_basis(filt, m))
+    for d in (1, 2):
+        with pytest.raises(NotOrthonormalError):
+            build_basis_nd(filt, d, m)
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(1, 11)])
+def test_every_builtin_filter_builds(name):
+    filt = filter_by_name(name)
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            assert build_basis_nd(filt, d, m).m == m
 
 
 def test_translate_gram_deviation_haar():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import vecwave
 from vecwave import _daubechies_taps
 from vecwave.scalar import (
     ScalarFilter,
+    _exact_wavelet_moments,
     daubechies_filter,
     filter_by_name,
     filter_deviations,
@@ -124,6 +126,27 @@ def test_filter_arrays_frozen():
 def test_mismatched_pair_rejected():
     with pytest.raises(ValueError):
         ScalarFilter("bad", np.ones(4), 0, np.ones(2), 0, 1)
+
+
+def _fraction_moments(g, g_start, count):
+    """The moments as sums of Fraction products, tap by tap: the oracle."""
+    out = []
+    for p in range(count):
+        acc = Fraction(0)
+        for i, gi in enumerate(g):
+            acc += Fraction(float(gi)) * Fraction(g_start + i) ** p
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(2, 11)])
+def test_exact_moments_match_fraction_products(name):
+    f = filter_by_name(name)
+    count = f.vanishing_moments + 2
+    for g_start in (f.g_start, f.g_start + 3):
+        got = _exact_wavelet_moments(f.g, g_start, count)
+        assert got == _fraction_moments(f.g, g_start, count)
+        assert all(type(m) is Fraction for m in got)
 
 
 def test_taps_table_matches_generator():

@@ -31,6 +31,7 @@ from vecwave import (
     threshold_matrix,
 )
 from vecwave.basisnd import FamilyND
+from vecwave.scalar import ScalarFilter
 from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step
 
 HAAR = filter_by_name("haar")
@@ -140,18 +141,23 @@ def _assert_bitwise(got, want):
     assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_step_matches_oracle(x, filt, axis):
+    approx, detail = _axis_analyze_step(x, filt, axis)
+    _assert_bitwise(approx, _oracle_analyze(x, filt.h, filt.h_start, axis))
+    _assert_bitwise(detail, _oracle_analyze(x, filt.g, filt.g_start, axis))
+    return approx, detail
+
+
 @pytest.mark.parametrize("name", ["haar"] + [f"db{k}" for k in range(2, 11)])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_step_matches_modular_oracle(name, axis):
     filt = filter_by_name(name)
     rng = np.random.default_rng(7 + axis)
-    for n in (2, 4, 8, 64, 1024):
+    # every length 2..1024: haar's extension window never wraps, db10's always does
+    for n in (2**p for p in range(1, 11)):
         shape = [3, 2, 2]
         shape[axis] = n
-        x = _with_signed_zeros(rng, shape)
-        approx, detail = _axis_analyze_step(x, filt, axis)
-        _assert_bitwise(approx, _oracle_analyze(x, filt.h, filt.h_start, axis))
-        _assert_bitwise(detail, _oracle_analyze(x, filt.g, filt.g_start, axis))
+        approx, detail = _assert_step_matches_oracle(_with_signed_zeros(rng, shape), filt, axis)
         a, d = _with_signed_zeros(rng, approx.shape), _with_signed_zeros(rng, detail.shape)
         _assert_bitwise(_axis_synthesize_step(a, d, filt, axis), _oracle_synthesize(a, d, filt, axis))
         # all-negative-zero input: zero-start sums give +0.0 everywhere
@@ -160,6 +166,44 @@ def test_step_matches_modular_oracle(name, axis):
             _assert_bitwise(band, np.zeros(band.shape))
         zh = z[tuple(slice(0, s // 2 if ax == axis else s) for ax, s in enumerate(shape))]
         _assert_bitwise(_axis_synthesize_step(zh, zh, filt, axis), np.zeros(shape))
+
+
+@pytest.mark.parametrize("base, h_start, g_start", [
+    ("db4", 1, -6), ("db4", 0, -5), ("db4", -3, 2), ("db4", 5, 7),
+    # one phase of the window wraps and the other does not
+    ("haar", -1, 0), ("haar", 0, -1),
+])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_step_phases_for_either_start_parity(base, h_start, g_start, axis):
+    src = filter_by_name(base)
+    filt = ScalarFilter(f"{base}-shifted", src.h, h_start, src.g, g_start, src.vanishing_moments)
+    rng = np.random.default_rng(11 + axis)
+    for n in (2, 4, 8, 16, 256):
+        shape = [3, 2, 2]
+        shape[axis] = n
+        _assert_step_matches_oracle(_with_signed_zeros(rng, shape), filt, axis)
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db10"])
+def test_step_reads_strided_and_read_only_inputs(name):
+    filt = filter_by_name(name)
+    rng = np.random.default_rng(5)
+    base = _with_signed_zeros(rng, (64, 6, 32))
+    views = [
+        base.T,  # (32, 6, 64), Fortran-ordered
+        base[::-1],  # negative stride along the stepped axis 0
+        base[:, ::-2, ::-1],  # negative strides along the other axes
+        base[::2, :, 1:17],  # step-2 rows, an offset window of columns
+    ]
+    readonly = base.copy()
+    readonly.flags.writeable = False
+    views.append(readonly)
+    for x in views:
+        before = x.copy()
+        for axis in range(x.ndim):
+            if x.shape[axis] % 2 == 0:
+                _assert_step_matches_oracle(x, filt, axis)
+        _assert_bitwise(x, before)
 
 
 def test_vector_signal_validation():
