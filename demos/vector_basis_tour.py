@@ -8,9 +8,11 @@ filter solving the dilation-4 refinement equation.
 import numpy as np
 
 from vecwave import (
+    build_basis_nd,
     build_vector_basis,
     haar_filter,
-    sample_vector_atom,
+    make_atom,
+    sample_vector_atom_nd,
     star,
     to_multiwavelet,
 )
@@ -23,12 +25,15 @@ print("  scaling components:", list(basis.scaling_components()))
 for t in range(3):
     print(f"  wavelet level {t}: ", list(basis.wavelet_components(t)))
 
+# a vector atom on the line is a d = 1 catalog atom
+catalog = build_basis_nd(haar_filter(), 1, m)
+phi, psi = catalog.family_by_name("Phi1"), catalog.family_by_name("Psi1")
 J = 8
 atoms = {
-    "scaling k=0": sample_vector_atom(basis, "scaling", 0, J),
-    "scaling k=1": sample_vector_atom(basis, "scaling", 1, J),
-    "wavelet t=0 k=0": sample_vector_atom(basis, 0, 0, J),
-    "wavelet t=1 k=0": sample_vector_atom(basis, 1, 0, J),
+    "scaling k=0": sample_vector_atom_nd(make_atom(phi, 0, (0,)), catalog, J),
+    "scaling k=1": sample_vector_atom_nd(make_atom(phi, 0, (1,)), catalog, J),
+    "wavelet t=0 k=0": sample_vector_atom_nd(make_atom(psi, 0, (0,)), catalog, J),
+    "wavelet t=1 k=0": sample_vector_atom_nd(make_atom(psi, 1, (0,)), catalog, J),
 }
 print("\nstar products (diagonal pairs want identity, the rest zero)")
 for name_a, f in atoms.items():

@@ -12,7 +12,9 @@ Scale bookkeeping: channel r of the scaling atom sits at scalar scale
 sits at scalar scale ``m t + m - 1 + (r - 1)``.  Together these cover every
 scalar scale exactly once, so no detail information is dropped or
 duplicated.  The translation index lands inside the dilated argument
-(``psi(2^s x - k)``), matching the scalar basis atom at that scale.
+(``psi(2^s x - k)``), matching the scalar basis atom at that scale.  These
+vector atoms are the d = 1 catalog atoms of ``basisnd.build_basis_nd(filt,
+1, m)`` and are sampled by ``basisnd.sample_vector_atom_nd``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import NotOrthonormalError, ResolutionError
 from .scalar import ScalarFilter, filter_deviations, quad_inner, scaled_atom_sample
-from .star import MatrixM, VectorSampledFunction, stack_channels
+from .star import MatrixM
 
 
 class Component(NamedTuple):
@@ -66,32 +68,6 @@ def build_vector_basis(filt: ScalarFilter, m: int) -> VectorBasis1D:
     if not isinstance(filt, ScalarFilter):
         raise TypeError(f"filt must be a ScalarFilter, got {type(filt).__name__}")
     return VectorBasis1D(filt, m)
-
-
-def _components_for(basis: VectorBasis1D, which) -> tuple:
-    if which == "scaling":
-        return basis.scaling_components()
-    if isinstance(which, int) and not isinstance(which, bool):
-        return basis.wavelet_components(which)
-    raise ValueError(
-        f"which must be 'scaling' or a wavelet level integer, got {which!r}"
-    )
-
-
-def sample_vector_atom(
-    basis: VectorBasis1D, which, k: int, J: int
-) -> VectorSampledFunction:
-    """Sample one vector atom on the level-J grid.
-
-    ``which`` is ``"scaling"`` or an integer wavelet level t >= 0.  Channel
-    r holds ``2**(s_r/2) atom_r(2**s_r x - k)``; channels are padded onto
-    their union support window.
-    """
-    comps = _components_for(basis, which)
-    channels = [
-        scaled_atom_sample(basis.filter, c.kind, c.scale, k, J) for c in comps
-    ]
-    return stack_channels(channels)
 
 
 @dataclass(frozen=True)
@@ -173,8 +149,9 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
     m = basis.m
     if J < m:
         raise ResolutionError(f"need J >= {m} to sample the dilated side, got {J}")
-    target = sample_vector_atom(basis, "scaling", 0, J)
     comps = basis.scaling_components()
+    # Phi's rows at k = 0, each on its own window.
+    rows = [scaled_atom_sample(basis.filter, c.kind, c.scale, 0, J) for c in comps]
     # (tap, column) pairs whose coefficient column is nonzero, tap-major.
     taps, cols = np.nonzero(np.any(mf.taps, axis=1))
     pairs = list(zip(taps.tolist(), cols.tolist()))
@@ -186,10 +163,10 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
         atoms[c] = scaled_atom_sample(basis.filter, comp.kind, m + comp.scale, 0, J)
     step = 2 ** (J - m)
     starts = [atoms[c].start + (mf.start + i) * step for i, c in pairs]
-    # Union window of every term on the right side.
-    lo = min([target.start[0]] + starts)
+    # Union window of Phi's rows and every term on the right side.
+    lo = min([row.start for row in rows] + starts)
     hi = max(
-        [target.start[0] + target.values.shape[1]]
+        [row.start + len(row.values) for row in rows]
         + [s + len(atoms[c].values) for s, (_, c) in zip(starts, pairs)]
     )
     rhs = np.zeros((m, hi - lo))
@@ -197,8 +174,8 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
         values = atoms[c].values
         rhs[:, s - lo : s - lo + len(values)] += np.outer(mf.taps[i, :, c], values)
     full = np.zeros((m, hi - lo))
-    t0 = target.start[0] - lo
-    full[:, t0 : t0 + target.values.shape[1]] = target.values
+    for r, row in enumerate(rows):
+        full[r, row.start - lo : row.start - lo + len(row.values)] = row.values
     return float(np.max(np.sum(np.abs(full - rhs), axis=0)))
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._daubechies_taps import DAUBECHIES_H
-from .errors import ResolutionError, SizeGuardError
+from .errors import FileFormatError, ResolutionError, SizeGuardError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -448,9 +448,13 @@ def sampled_to_csv(f: SampledFunction) -> str:
 
 
 def sampled_from_csv(text: str) -> SampledFunction:
-    """Inverse of :func:`sampled_to_csv`."""
-    from .errors import FileFormatError
+    """Inverse of :func:`sampled_to_csv`.
 
+    The grid level must lie in ``0..MAX_GRID_LEVEL``, every sample must be
+    finite, and the window's grid indices must lie within +-2**53, so that
+    each is an exact float and every cell edge ``(start + i) * 2**-level``
+    is a finite coordinate distinct from its neighbours.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise FileFormatError("missing sampled-function header")
@@ -465,7 +469,16 @@ def sampled_from_csv(text: str) -> SampledFunction:
         level = int(step[3:])
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"bad sampled-function header: {lines[0]!r}") from exc
+    if not 0 <= level <= MAX_GRID_LEVEL:
+        raise FileFormatError(f"grid level {level} is outside 0..{MAX_GRID_LEVEL}")
     vals = np.array([float(ln) for ln in lines[1:]])
     if len(vals) != n:
         raise FileFormatError(f"expected {n} values, found {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise FileFormatError("samples must be finite, found NaN or inf")
+    if start < -(2**53) or start + n > 2**53:
+        raise FileFormatError(
+            f"window {start}..{start + n} does not fit a finite coordinate: "
+            "grid indices must lie within +-2**53"
+        )
     return SampledFunction(start, level, vals)

@@ -8,9 +8,7 @@ callers their teeth.
 
 A vector-valued function is stored as one stacked array: ``values`` has
 shape ``(m, n_1, ..., n_d)`` and ``start`` gives the integer grid offset of
-the support window per axis.  Channels therefore share a single window;
-:func:`stack_channels` pads one-dimensional channels with different supports
-onto their union window.
+the support window per axis.  Channels therefore share a single window.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .scalar import SampledFunction
 
 
 @dataclass(frozen=True)
@@ -91,46 +88,6 @@ class VectorSampledFunction:
     def step(self) -> float:
         return 2.0 ** -self.level
 
-    def channel(self, r: int) -> SampledFunction:
-        """Channel r as a scalar sampled function; one-dimensional only."""
-        if self.d != 1:
-            raise DimensionError(f"channel extraction needs d=1, have d={self.d}")
-        return SampledFunction(self.start[0], self.level, self.values[r])
-
-
-def from_channels(channels) -> VectorSampledFunction:
-    """Stack one-dimensional channels that already share a support window."""
-    channels = list(channels)
-    if not channels:
-        raise DimensionError("need at least one channel")
-    first = channels[0]
-    for c in channels[1:]:
-        if (c.start, c.level, len(c.values)) != (
-            first.start,
-            first.level,
-            len(first.values),
-        ):
-            raise DimensionError("channels must share window and grid level")
-    return VectorSampledFunction(
-        (first.start,), first.level, np.stack([c.values for c in channels])
-    )
-
-
-def stack_channels(channels) -> VectorSampledFunction:
-    """Stack one-dimensional channels, padding each to the union window."""
-    channels = list(channels)
-    if not channels:
-        raise DimensionError("need at least one channel")
-    level = channels[0].level
-    if any(c.level != level for c in channels):
-        raise DimensionError("channels must share the grid level")
-    lo = min(c.start for c in channels)
-    hi = max(c.start + len(c.values) for c in channels)
-    out = np.zeros((len(channels), hi - lo))
-    for r, c in enumerate(channels):
-        out[r, c.start - lo : c.start - lo + len(c.values)] = c.values
-    return VectorSampledFunction((lo,), level, out)
-
 
 def _check_compatible(f: VectorSampledFunction, g: VectorSampledFunction):
     if f.m != g.m:
@@ -163,29 +120,6 @@ def star(f: VectorSampledFunction, g: VectorSampledFunction) -> MatrixM:
     ]
     cell = f.step**f.d
     return MatrixM(fsl.reshape(f.m, -1) @ gsl.reshape(g.m, -1).T * cell)
-
-
-def apply_matrix(A, g: VectorSampledFunction) -> VectorSampledFunction:
-    """Channel mixing: (A g)_i = sum_j A[i, j] g_j on the same grid."""
-    a = A.entries if isinstance(A, MatrixM) else np.asarray(A, dtype=float)
-    if a.shape != (g.m, g.m):
-        raise DimensionError(f"matrix shape {a.shape} does not match m={g.m}")
-    return VectorSampledFunction(g.start, g.level, np.tensordot(a, g.values, axes=(1, 0)))
-
-
-def star_with_matrix(f: VectorSampledFunction, A, g: VectorSampledFunction) -> MatrixM:
-    """star(f, A g), checked against the algebraic form star(f, g) A^T.
-
-    The pairing is linear in each slot, so both evaluation orders must
-    agree; a discrepancy above 1e-12 means the inputs are inconsistent and
-    raises rather than returning a silently wrong matrix.
-    """
-    a = A.entries if isinstance(A, MatrixM) else np.asarray(A, dtype=float)
-    left = star(f, apply_matrix(a, g))
-    right = star(f, g).entries @ a.T
-    if np.max(np.abs(left.entries - right)) > 1e-12:
-        raise RuntimeError("pairing is not bilinear on these inputs")
-    return left
 
 
 def norm1(A) -> float:
@@ -225,8 +159,3 @@ def separable_channels(
     vals = np.einsum("ri,rj->rij", x.values, y.values)
     return VectorSampledFunction((x.start[0], y.start[0]), x.level, vals)
 
-
-def matrix_to_csv(A: MatrixM) -> str:
-    """One CSV row per matrix row, 17 significant digits."""
-    a = A.entries if isinstance(A, MatrixM) else np.asarray(A, dtype=float)
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in a) + "\n"

@@ -73,15 +73,3 @@ def factor_component(mw: Multiwavelet, eps_i: int, alpha_i: int, j: int) -> Comp
     comp = gens[alpha_i - 1]
     return Component(comp.kind, comp.scale + mw.m * j)
 
-
-def families_to_csv(d: int, m: int) -> str:
-    """Serialize the family listing: one row per member, fixed columns.
-
-    Columns are e, the d bits of eps, then the d entries of alpha.
-    """
-    lines = [f"# d={d} m={m}"]
-    for fam in enumerate_families(d, m):
-        for eps, alpha in fam.members:
-            cells = [str(fam.e)] + [str(b) for b in eps] + [str(a) for a in alpha]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

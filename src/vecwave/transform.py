@@ -45,7 +45,7 @@ import re
 
 import numpy as np
 
-from .basis1d import Multiwavelet, VectorBasis1D
+from .basis1d import VectorBasis1D, to_multiwavelet
 from .basisnd import BasisND, Partition, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter
@@ -368,11 +368,15 @@ class VectorDecomposition:
 
 
 def _basis_params(basis, signal_d: int, signal_m: int):
-    """The basis's multiwavelet and block partition."""
+    """The basis's multiwavelet and block partition.
+
+    A `VectorBasis1D` passes `to_multiwavelet`'s checks, as every
+    `build_basis_nd` does.
+    """
     if isinstance(basis, VectorBasis1D):
         if signal_d != 1:
             raise DimensionError(f"1D basis cannot transform a {signal_d}D signal")
-        mw = Multiwavelet(basis.filter, basis.scaling_components(), basis.wavelet_components(0))
+        mw = to_multiwavelet(basis)
         part = cyclic_partition(1, basis.m)
     elif isinstance(basis, BasisND):
         if basis.d != signal_d:

@@ -10,11 +10,10 @@ from vecwave.basis1d import (
     from_multiwavelet,
     matrix_refinement_filter,
     refine_residual,
-    sample_vector_atom,
     to_multiwavelet,
     translate_gram_deviation,
 )
-from vecwave.basisnd import build_basis_nd
+from vecwave.basisnd import build_basis_nd, make_atom, sample_vector_atom_nd
 from vecwave.errors import NotOrthonormalError, ResolutionError
 from vecwave.scalar import (
     ScalarFilter,
@@ -24,6 +23,19 @@ from vecwave.scalar import (
     scaled_atom_sample,
 )
 from vecwave.star import star
+
+
+def catalog_atom_1d(basis, which, k, J):
+    """A 1-D vector atom, the d = 1 catalog atom, on the level-J grid.
+
+    ``which`` is ``"scaling"`` or an integer wavelet level t.
+    """
+    catalog = build_basis_nd(basis.filter, 1, basis.m)
+    if which == "scaling":
+        atom = make_atom(catalog.family_by_name("Phi1"), 0, (k,))
+    else:
+        atom = make_atom(catalog.family_by_name("Psi1"), which, (k,))
+    return sample_vector_atom_nd(atom, catalog, J)
 
 
 def test_component_layout_haar_m2():
@@ -90,15 +102,11 @@ def test_build_guards():
     b = build_vector_basis(haar_filter(), 2)
     with pytest.raises(ValueError):
         b.wavelet_components(-1)
-    with pytest.raises(ValueError):
-        sample_vector_atom(b, "spam", 0, 4)
-    with pytest.raises(ValueError):
-        sample_vector_atom(b, True, 0, 4)
 
 
 def test_sample_scaling_atom_haar_m2():
     b = build_vector_basis(haar_filter(), 2)
-    f = sample_vector_atom(b, "scaling", 0, 4)
+    f = catalog_atom_1d(b, "scaling", 0, 4)
     assert f.m == 2
     assert f.start == (0,)
     assert f.values.shape == (2, 16)
@@ -110,7 +118,7 @@ def test_sample_wavelet_atom_haar_m2():
     # Level-0 channels sit at scalar scales 1 and 2 with amplitudes
     # sqrt(2) and 2, padded onto the union window [0, 1/2).
     b = build_vector_basis(haar_filter(), 2)
-    f = sample_vector_atom(b, 0, 0, 4)
+    f = catalog_atom_1d(b, 0, 0, 4)
     assert f.start == (0,)
     assert f.values.shape == (2, 8)
     s = np.sqrt(2.0)
@@ -124,7 +132,7 @@ def test_sample_matches_channel_oracle():
         ("scaling", b.scaling_components()),
         (1, b.wavelet_components(1)),
     ):
-        f = sample_vector_atom(b, which, -3, 8)
+        f = catalog_atom_1d(b, which, -3, 8)
         for r, comp in enumerate(comps):
             want = scaled_atom_sample(b.filter, comp.kind, comp.scale, -3, 8)
             seg = f.values[r, want.start - f.start[0] :][: len(want.values)]
@@ -137,8 +145,8 @@ def test_translation_covariance_rigid_when_scales_match():
     # Both channels of the Haar m=2 scaling atom live at scale 0, so the
     # k=3 atom is the k=0 atom shifted rigidly by 3 * 2^J grid units.
     b = build_vector_basis(haar_filter(), 2)
-    f0 = sample_vector_atom(b, "scaling", 0, 4)
-    f3 = sample_vector_atom(b, "scaling", 3, 4)
+    f0 = catalog_atom_1d(b, "scaling", 0, 4)
+    f3 = catalog_atom_1d(b, "scaling", 3, 4)
     assert f3.start[0] == f0.start[0] + 3 * 2**4
     assert_array_equal(f3.values, f0.values)
 
@@ -148,8 +156,8 @@ def test_translation_covariance_per_channel():
     # k * 2^(J - s_r) grid units.
     b = build_vector_basis(haar_filter(), 3)
     J = 6
-    f0 = sample_vector_atom(b, 0, 0, J)
-    f2 = sample_vector_atom(b, 0, 2, J)
+    f0 = catalog_atom_1d(b, 0, 0, J)
+    f2 = catalog_atom_1d(b, 0, 2, J)
     for r, comp in enumerate(b.wavelet_components(0)):
         a0 = scaled_atom_sample(b.filter, comp.kind, comp.scale, 0, J)
         a2 = scaled_atom_sample(b.filter, comp.kind, comp.scale, 2, J)
@@ -163,7 +171,7 @@ def test_resolution_guard():
     b = build_vector_basis(haar_filter(), 3)
     # Level 1 tops out at scalar scale 7, finer than a J=4 grid.
     with pytest.raises(ResolutionError):
-        sample_vector_atom(b, 1, 0, 4)
+        catalog_atom_1d(b, 1, 0, 4)
 
 
 def test_star_orthonormality_haar_small_scope():
@@ -173,9 +181,9 @@ def test_star_orthonormality_haar_small_scope():
     J = 8
     atoms = []
     for k in range(-2, 3):
-        atoms.append((("s", k), sample_vector_atom(b, "scaling", k, J)))
+        atoms.append((("s", k), catalog_atom_1d(b, "scaling", k, J)))
         for t in (0, 1):
-            atoms.append(((t, k), sample_vector_atom(b, t, k, J)))
+            atoms.append(((t, k), catalog_atom_1d(b, t, k, J)))
     eye = np.eye(2)
     worst = 0.0
     for i in range(len(atoms)):
@@ -190,8 +198,8 @@ def test_star_orthonormality_haar_small_scope():
 def test_star_orthonormality_haar_m3():
     b = build_vector_basis(haar_filter(), 3)
     J = 8
-    atoms = [(("s", k), sample_vector_atom(b, "scaling", k, J)) for k in (-1, 0, 1)]
-    atoms += [((0, k), sample_vector_atom(b, 0, k, J)) for k in (-1, 0, 1)]
+    atoms = [(("s", k), catalog_atom_1d(b, "scaling", k, J)) for k in (-1, 0, 1)]
+    atoms += [((0, k), catalog_atom_1d(b, 0, k, J)) for k in (-1, 0, 1)]
     eye = np.eye(3)
     for i in range(len(atoms)):
         for j in range(i, len(atoms)):
@@ -282,10 +290,10 @@ def test_refine_residual_resolution_guard():
 # bitwise reference.
 def _loop_refine_residual(basis, mf, J):
     m = basis.m
-    target = sample_vector_atom(basis, "scaling", 0, J)
     comps = basis.scaling_components()
-    lo = target.start[0]
-    hi = lo + target.values.shape[1]
+    rows = [scaled_atom_sample(basis.filter, c.kind, c.scale, 0, J) for c in comps]
+    lo = min(row.start for row in rows)
+    hi = max(row.start + len(row.values) for row in rows)
     pieces = []
     for i in range(len(mf.taps)):
         k = mf.start + i
@@ -304,8 +312,8 @@ def _loop_refine_residual(basis, mf, J):
         seg = slice(atom.start - lo, atom.start - lo + len(atom.values))
         rhs[:, seg] += np.outer(coeffs, atom.values)
     full = np.zeros((m, hi - lo))
-    t0 = target.start[0] - lo
-    full[:, t0 : t0 + target.values.shape[1]] = target.values
+    for r, row in enumerate(rows):
+        full[r, row.start - lo : row.start - lo + len(row.values)] = row.values
     return float(np.max(np.sum(np.abs(full - rhs), axis=0)))
 
 
@@ -417,8 +425,8 @@ def test_round_trip_haar():
         assert rt.m == b.m
         assert rt.scaling_components() == b.scaling_components()
         # Atoms agree channelwise after reassembly.
-        fa = sample_vector_atom(b, "scaling", 1, 8)
-        fb = sample_vector_atom(rt, "scaling", 1, 8)
+        fa = catalog_atom_1d(b, "scaling", 1, 8)
+        fb = catalog_atom_1d(rt, "scaling", 1, 8)
         assert fa.start == fb.start
         assert_array_equal(fa.values, fb.values)
 

@@ -397,6 +397,44 @@ def test_plot_function_csv(tmp_path):
     assert len(polyline_points(svg)) == 16
 
 
+@pytest.mark.parametrize(
+    "header, values, message",
+    [
+        ("start=0 step=2^-3 len=4", "1 nan 2 3", "samples must be finite"),
+        ("start=0 step=2^-3 len=4", "1 inf 2 3", "samples must be finite"),
+        ("start=0 step=2^-3 len=4", "1 -1e999 2 3", "samples must be finite"),
+        ("start=0 step=2^-5000 len=4", "1 0 2 3", "grid level 5000 is outside 0..1022"),
+        ("start=0 step=2^-1023 len=4", "1 0 2 3", "grid level 1023 is outside 0..1022"),
+        ("start=0 step=2^--3 len=4", "1 0 2 3", "grid level -3 is outside 0..1022"),
+        (f"start={10**23} step=2^-3 len=4", "1 0 2 3", "does not fit a finite coordinate"),
+        (f"start={2**60} step=2^-0 len=4", "1 0 2 3", "does not fit a finite coordinate"),
+        (f"start={2**53 - 3} step=2^-0 len=4", "1 0 2 3", "does not fit a finite coordinate"),
+        (f"start={-(2**53) - 1} step=2^-0 len=4", "1 0 2 3", "does not fit a finite coordinate"),
+    ],
+)
+def test_plot_function_rejects_a_csv_out_of_bounds(tmp_path, capsys, header, values, message):
+    csv_path = tmp_path / "fn.csv"
+    csv_path.write_text(f"# {header}\n" + "\n".join(values.split()) + "\n")
+    out = tmp_path / "fn.svg"
+    assert main(["plot", "--function", str(csv_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header", ["start=0 step=2^-1022 len=4", f"start={2**53 - 4} step=2^-0 len=4",
+               f"start={-(2**53)} step=2^-0 len=4"],
+)
+def test_plot_function_accepts_a_csv_at_its_bounds(tmp_path, header):
+    csv_path = tmp_path / "fn.csv"
+    csv_path.write_text(f"# {header}\n1\n0\n-2\n3\n")
+    out = tmp_path / "fn.svg"
+    assert main(["plot", "--function", str(csv_path), "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert len(polyline_points(svg)) == 8
+
+
 def test_plot_env_j_default(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, d=1, m=1)
     out = tmp_path / "phi.svg"

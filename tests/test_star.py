@@ -3,29 +3,35 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vecwave.errors import DimensionError
-from vecwave.scalar import SampledFunction, haar_filter, refine_sample
+from vecwave.scalar import haar_filter, refine_sample
 from vecwave.star import (
     MatrixM,
     VectorSampledFunction,
-    apply_matrix,
-    from_channels,
     hadamard,
     l2_norm,
-    matrix_to_csv,
     norm1,
     separable_channels,
-    stack_channels,
     star,
-    star_with_matrix,
 )
+
+
+def stacked(channels):
+    """One-dimensional channels that share a window, as one vector function."""
+    first = channels[0]
+    assert all((c.start, c.level, len(c.values)) == (first.start, first.level, len(first.values))
+               for c in channels)
+    return VectorSampledFunction((first.start,), first.level, np.stack([c.values for c in channels]))
 
 
 def haar_pair(J=4):
     """The two Haar atoms phi, psi stacked on their common window [0, 1)."""
     f = haar_filter()
-    return from_channels(
-        [refine_sample(f, "scaling", J), refine_sample(f, "wavelet", J)]
-    )
+    return stacked([refine_sample(f, "scaling", J), refine_sample(f, "wavelet", J)])
+
+
+def mixed(A, g):
+    """Channel mixing (A g)_i = sum_j A[i, j] g_j on the same grid."""
+    return VectorSampledFunction(g.start, g.level, np.tensordot(A, g.values, axes=(1, 0)))
 
 
 def random_vsf(rng, m, n=8, level=3, d=1, start=None):
@@ -49,7 +55,7 @@ def test_star_with_zero_function():
 def test_star_of_duplicated_channel_is_all_ones():
     f = haar_filter()
     phi = refine_sample(f, "scaling", 4)
-    both = from_channels([phi, phi])
+    both = stacked([phi, phi])
     assert_array_equal(star(both, both).entries, np.ones((2, 2)))
 
 
@@ -93,34 +99,19 @@ def test_star_dimension_errors():
 
 def test_star_with_matrix_identity_and_zero():
     pair = haar_pair()
-    assert_allclose(
-        star_with_matrix(pair, MatrixM.identity(2), pair).entries,
-        star(pair, pair).entries,
-        rtol=0,
-        atol=0,
-    )
-    assert_array_equal(
-        star_with_matrix(pair, MatrixM.zero(2), pair).entries, np.zeros((2, 2))
-    )
+    assert_array_equal(star(pair, mixed(np.eye(2), pair)).entries, star(pair, pair).entries)
+    assert_array_equal(star(pair, mixed(np.zeros((2, 2)), pair)).entries, np.zeros((2, 2)))
 
 
 def test_star_with_matrix_random():
+    # star is linear in its second slot: star(f, A g) = star(f, g) A^T
     rng = np.random.default_rng(5)
     for _ in range(25):
         f = random_vsf(rng, 2)
         g = VectorSampledFunction(f.start, f.level, rng.standard_normal((2, 8)))
         A = rng.standard_normal((2, 2))
-        out = star_with_matrix(f, A, g)
+        out = star(f, mixed(A, g))
         assert_allclose(out.entries, star(f, g).entries @ A.T, rtol=0, atol=1e-12)
-
-
-def test_apply_matrix_mixes_channels():
-    v = VectorSampledFunction((0,), 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    A = np.array([[2.0, 3.0], [0.0, 1.0]])
-    mixed = apply_matrix(A, v)
-    assert_array_equal(mixed.values, np.array([[2.0, 3.0], [0.0, 1.0]]))
-    with pytest.raises(DimensionError):
-        apply_matrix(np.eye(3), v)
 
 
 def test_bilinearity():
@@ -182,51 +173,11 @@ def test_l2_norm_haar():
     assert l2_norm(pair) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
-def test_from_channels_requires_common_window():
-    a = SampledFunction(0, 3, np.ones(8))
-    b = SampledFunction(1, 3, np.ones(8))
-    with pytest.raises(DimensionError):
-        from_channels([a, b])
-    with pytest.raises(DimensionError):
-        from_channels([a, SampledFunction(0, 2, np.ones(8))])
-    with pytest.raises(DimensionError):
-        from_channels([])
-
-
-def test_stack_channels_pads_to_union():
-    a = SampledFunction(0, 3, np.ones(4))
-    b = SampledFunction(-2, 3, 2 * np.ones(4))
-    v = stack_channels([a, b])
-    assert v.start == (-2,)
-    assert v.values.shape == (2, 6)
-    assert_array_equal(v.values[0], [0, 0, 1, 1, 1, 1])
-    assert_array_equal(v.values[1], [2, 2, 2, 2, 0, 0])
-    back = v.channel(0)
-    assert back.start == -2
-    assert_array_equal(back.values, v.values[0])
-
-
-def test_stack_channels_level_mismatch():
-    with pytest.raises(DimensionError):
-        stack_channels([SampledFunction(0, 3, np.ones(4)), SampledFunction(0, 2, np.ones(4))])
-
-
-def test_channel_requires_1d():
-    v = VectorSampledFunction((0, 0), 2, np.ones((2, 3, 3)))
-    with pytest.raises(DimensionError):
-        v.channel(0)
-
-
 def test_matrix_validation():
     with pytest.raises(DimensionError):
         MatrixM(np.ones((2, 3)))
     with pytest.raises(ValueError):
         MatrixM(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_matrix_csv():
-    A = MatrixM(np.array([[1.0, -0.5], [0.25, 2.0]]))
-    assert matrix_to_csv(A) == "1,-0.5\n0.25,2\n"
 
 
 def test_star_2d():

@@ -16,7 +16,7 @@ from vecwave.basisnd import VectorAtomND, build_basis_nd, sample_vector_atom_nd
 from vecwave.errors import SizeGuardError
 from vecwave.scalar import filter_by_name, haar_filter, quad_inner, scaled_atom_sample
 from vecwave.star import star
-from vecwave.tensor import enumerate_families, factor_component, families_to_csv
+from vecwave.tensor import enumerate_families, factor_component
 
 
 def haar_mw(m=2):
@@ -242,15 +242,3 @@ def test_db2_atom_norm_converges():
     assert devs[1] < devs[0]
     assert devs[1] <= 1e-2
 
-
-def test_families_csv_golden():
-    assert families_to_csv(1, 2) == (
-        "# d=1 m=2\n0,0,1\n0,0,2\n1,1,1\n1,1,2\n"
-    )
-    assert families_to_csv(2, 1) == (
-        "# d=2 m=1\n"
-        "0,0,0,1,1\n"
-        "1,0,1,1,1\n"
-        "1,1,0,1,1\n"
-        "2,1,1,1,1\n"
-    )

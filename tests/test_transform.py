@@ -269,6 +269,22 @@ def test_decomposition_bytes_rejects_non_finite(bad):
         decomposition_from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_vector_basis_over_a_non_orthonormal_filter_is_refused(m):
+    # haar with h and g scaled by 1.01 does not refine; a VectorBasis1D
+    # over it gets the checks of build_basis_nd, in both directions
+    bad = ScalarFilter("haar-scaled", HAAR.h * 1.01, HAAR.h_start, HAAR.g * 1.01, HAAR.g_start, 1)
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        build_basis_nd(bad, 1, m)
+    basis = build_vector_basis(bad, m)
+    sig = VectorSignal(np.random.default_rng(4).standard_normal((m, 64)))
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        analyze_vector(sig, basis, 1)
+    dec = analyze_vector(sig, build_vector_basis(HAAR, m), 1)
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        synthesize_vector(dec, basis)
+
+
 def test_analyze_zero_signal():
     basis = build_vector_basis(HAAR, 2)
     dec = analyze_vector(VectorSignal(np.zeros((2, 32))), basis, 2)
