@@ -234,26 +234,34 @@ class FactorInnerCache:
         self.filt = filt
         self.J = J
         self._samples = {}
+        self._quads = {}
 
-    def _quad(self, key_a, key_b) -> float:
-        grid = max(key_a[1], key_b[1]) + self.J
-        sa, sb = key_a + (grid,), key_b + (grid,)
-        for skey in (sa, sb):
-            if skey not in self._samples:
-                self._samples[skey] = scaled_atom_sample(self.filt, *skey)
-        return quad_inner(self._samples[sa], self._samples[sb])
+    def _sample(self, key, grid: int):
+        skey = key + (grid,)
+        if skey not in self._samples:
+            self._samples[skey] = scaled_atom_sample(self.filt, *skey)
+        return self._samples[skey]
 
     def gram(self, keys: list) -> np.ndarray:
-        """Gram matrix of the listed keys, one quadrature per unordered pair.
+        """Gram matrix of the listed keys, one quadrature per translate offset.
 
         Entry (p, q), p <= q, is measured in that order and mirrored; a key
-        listed twice gets two rows.
+        listed twice gets two rows.  Two pairs that differ by a common
+        translate slice the same sample arrays at the same offsets, so one
+        quadrature per ``(kind_a, scale_a, kind_b, scale_b, grid, start_b -
+        start_a)`` serves them all with the same bits.
         """
         n = len(keys)
         out = np.empty((n, n))
-        for p in range(n):
+        for p, key_a in enumerate(keys):
             for q in range(p, n):
-                out[p, q] = out[q, p] = self._quad(keys[p], keys[q])
+                key_b = keys[q]
+                grid = max(key_a[1], key_b[1]) + self.J
+                fa, fb = self._sample(key_a, grid), self._sample(key_b, grid)
+                tag = (key_a[0], key_a[1], key_b[0], key_b[1], grid, fb.start - fa.start)
+                if tag not in self._quads:
+                    self._quads[tag] = quad_inner(fa, fb)
+                out[p, q] = out[q, p] = self._quads[tag]
         return out
 
 

@@ -6,7 +6,9 @@ uncompressed BMP data URIs so no codec enters the picture.
 """
 
 import base64
+import math
 import struct
+import sys
 
 import numpy as np
 
@@ -49,6 +51,13 @@ def step_polyline_svg(f: SampledFunction, caption: str = "") -> str:
     n = len(values)
     step = f.step
     xs = (f.start + np.arange(n + 1)) * step
+    # The y axis runs in units of 2**e, a power of two at least the largest
+    # magnitude, so its span stays finite for any finite samples.  Scaling
+    # by a power of two is exact (short of samples 2**-1022 times the
+    # largest, which no pixel shows), so every coordinate and label is the
+    # one the unscaled span gives wherever that span is finite.
+    e = math.frexp(max(-float(values.min()), float(values.max()), 0.0))[1]
+    values = np.ldexp(values, -e)
     ymin = min(float(values.min()), 0.0)
     ymax = max(float(values.max()), 0.0)
     if ymax == ymin:
@@ -62,6 +71,13 @@ def step_polyline_svg(f: SampledFunction, caption: str = "") -> str:
 
     def sy(y):
         return _HEIGHT - _MB - (y - ymin) / (ymax - ymin) * (_HEIGHT - _MT - _MB)
+
+    def label(y):
+        try:
+            y = math.ldexp(y, e)
+        except OverflowError:  # a padded bound rounded past the largest float
+            y = math.copysign(sys.float_info.max, y)
+        return _f(y)
 
     parts = []
     _header(parts)
@@ -88,8 +104,8 @@ def step_polyline_svg(f: SampledFunction, caption: str = "") -> str:
     )
     parts.append(_text(_ML, _HEIGHT - 10, _f(xs[0])))
     parts.append(_text(_WIDTH - _MR, _HEIGHT - 10, _f(xs[-1]), anchor="end"))
-    parts.append(_text(_ML - 6, _HEIGHT - _MB, _f(ymin + pad), anchor="end"))
-    parts.append(_text(_ML - 6, _MT + 9, _f(ymax - pad), anchor="end"))
+    parts.append(_text(_ML - 6, _HEIGHT - _MB, label(ymin + pad), anchor="end"))
+    parts.append(_text(_ML - 6, _MT + 9, label(ymax - pad), anchor="end"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import vecwave
-from vecwave import basisnd
+from vecwave import basis1d, basisnd
 from vecwave.basisnd import (
     FactorInnerCache,
     Partition,
@@ -27,7 +27,13 @@ from vecwave.basisnd import (
     star_nd_separable,
 )
 from vecwave.errors import ResolutionError, SizeGuardError
-from vecwave.scalar import filter_by_name, haar_filter, quad_inner, scaled_atom_sample
+from vecwave.scalar import (
+    filter_by_name,
+    haar_filter,
+    quad_inner,
+    scaled_atom_sample,
+    support_start,
+)
 from vecwave.star import star
 from vecwave.tensor import MAX_ENUM_M, MAX_SWEEP_ROWS, factor_component
 
@@ -345,6 +351,47 @@ def test_catalog_sweep_matches_loop_bitwise(case):
     b = _basis(name, d, m, seed)
     got = catalog_star_deviation(b, max_level, k_range, J)
     assert got.hex() == _loop_catalog_star_deviation(b, max_level, k_range, J).hex()
+
+
+def _loop_gram(keys, J, filt):
+    ref = _LoopInnerCache(filt, J)
+    return np.array([[ref.inner(a, b) for b in keys] for a in keys])
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db10"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gram_reuses_one_quadrature_per_offset_bitwise(name, m, monkeypatch):
+    J = 8
+    mw = _basis(name, 1, m).mw
+    comps = tuple(mw.scaling) + tuple(mw.wavelets)
+    translate = [(c.kind, c.scale, k * 2**c.scale) for c in comps for k in range(-2, 3)]
+    quads = []
+    monkeypatch.setattr(basis1d, "quad_inner", lambda f, g: quads.append(0) or quad_inner(f, g))
+    gram = FactorInnerCache(mw.filter, J).gram(translate)
+    assert gram.tobytes() == _loop_gram(translate, J, mw.filter).tobytes()
+    # one quadrature per (kind, scale) pair and offset, not one per key pair
+    assert len(quads) == {1: 19, 2: 74, 3: 165}[m]
+    for d in (1, 2):
+        b = _basis(name, d, m)
+        keys, _ = basisnd._row_keys(catalog_atoms(b, 1, 1), b.mw)
+        gram = FactorInnerCache(mw.filter, J).gram(keys)
+        assert gram.tobytes() == _loop_gram(keys, J, mw.filter).tobytes()
+
+
+def test_gram_keeps_repeated_keys_and_kinds_apart():
+    filt, J = filter_by_name("db2"), 8
+    # at one scale, this wavelet key's samples start where the scaling key's do
+    shift = support_start(filt, "scaling") - support_start(filt, "wavelet")
+    phi, psi = ("scaling", 1, 0), ("wavelet", 1, shift)
+    assert scaled_atom_sample(filt, *phi, 1 + J).start == scaled_atom_sample(filt, *psi, 1 + J).start
+    keys = [phi, psi, phi, ("scaling", 1, 1), psi]
+    gram = FactorInnerCache(filt, J).gram(keys)
+    assert gram.shape == (5, 5)
+    assert gram.tobytes() == _loop_gram(keys, J, filt).tobytes()
+    assert gram[0].tobytes() == gram[2].tobytes()
+    assert gram[1].tobytes() == gram[4].tobytes()
+    # the scaling-wavelet pair at offset 0 is not read as the scaling pair
+    assert abs(gram[0, 0] - 1.0) < 1e-3 and abs(gram[0, 1]) < 1e-3
 
 
 @pytest.mark.parametrize(

@@ -435,6 +435,29 @@ def test_plot_function_accepts_a_csv_at_its_bounds(tmp_path, header):
     assert len(polyline_points(svg)) == 8
 
 
+@pytest.mark.parametrize(
+    "values, labels",
+    [
+        ("1e308 -1e308 0 2", ("-1e+308", "1e+308")),
+        # the padded upper bound rounds back up to 2**1024, past the largest float
+        ("1.7976931348623157e308 -8.98846567431158e307 1 0", ("-8.98847e+307", "1.79769e+308")),
+    ],
+)
+def test_plot_function_draws_samples_whose_range_overflows(tmp_path, values, labels):
+    csv_path = tmp_path / "fn.csv"
+    csv_path.write_text("# start=0 step=2^-3 len=4\n" + "\n".join(values.split()) + "\n")
+    out = tmp_path / "fn.svg"
+    assert main(["plot", "--function", str(csv_path), "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    points = polyline_points(svg)
+    assert len(points) == 8
+    ys = [y for _, y in points]
+    assert min(ys) >= 0.0 and max(ys) <= 360.0
+    for label in labels:
+        assert f">{label}</text>" in svg
+
+
 def test_plot_env_j_default(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, d=1, m=1)
     out = tmp_path / "phi.svg"

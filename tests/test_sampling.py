@@ -1,4 +1,6 @@
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +155,51 @@ def test_kind_vocabulary():
         scaled_atom_sample(f, "psi", 0, 0, 3)
     with pytest.raises(ValueError):
         support_start(f, "mother")
+
+
+BUILTIN_NAMES = ["haar"] + [f"db{N}" for N in range(2, 11)]
+
+
+def _exact_sampled_moments(f, count):
+    """``sum_i x_i**p v_i * step`` for ``p < count``, as exact Fractions.
+
+    Every sample is ``num / 2**e``; on the largest such denominator the
+    samples become integers, and with ``x_i = n_i 2**-level`` each sum runs
+    in Python ints.
+    """
+    ratios = [float(v).as_integer_ratio() for v in f.values]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    nums = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    ns = list(range(f.start, f.start + len(f.values)))
+    out, terms = [], nums
+    for p in range(count):
+        out.append(Fraction(sum(terms), 1 << (shift + f.level * (p + 1))))
+        terms = list(map(operator.mul, terms, ns))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_moments_match_an_exact_sum_of_the_samples(name):
+    filt = filter_by_name(name)
+    for J in (6, 8, 10, 12):
+        w = refine_sample(filt, "wavelet", J)
+        exact = _exact_sampled_moments(w, filt.vanishing_moments)
+        for p, want in enumerate(exact):
+            assert abs(moment(w, p) - float(want)) <= 1e-12, (J, p)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_low_moments_keep_the_bits_of_pow(name):
+    # the elementwise pow that moment used before its product ladder
+    def pow_moment(f, p):
+        return float(np.dot(f.grid() ** p, f.values)) * f.step
+
+    filt = filter_by_name(name)
+    for J in (6, 8, 10, 12):
+        for which in ("scaling", "wavelet"):
+            f = refine_sample(filt, which, J)
+            for p in (1, 2, 3):
+                assert moment(f, p).hex() == pow_moment(f, p).hex(), (J, which, p)
 
 
 def test_moment_order_guard():
