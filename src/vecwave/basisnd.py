@@ -32,7 +32,8 @@ class Partition:
     def __post_init__(self):
         blocks = tuple(tuple(tuple(a) for a in block) for block in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        full = set(product(range(1, self.m + 1), repeat=self.d))
+        # m^(d-1) disjoint blocks of m distinct rows in {1..m}^d cover it, so
+        # {1..m}^d, whose m may come from a file header, is never built
         if len(blocks) != self.m ** (self.d - 1):
             raise ValueError(
                 f"need {self.m ** (self.d - 1)} blocks, got {len(blocks)}"
@@ -41,11 +42,12 @@ class Partition:
         for block in blocks:
             if len(block) != self.m or len(set(block)) != self.m:
                 raise ValueError(f"block {block} must hold m={self.m} distinct rows")
+            for row in block:
+                if len(row) != self.d or not all(1 <= a <= self.m for a in row):
+                    raise ValueError(f"row {row} must hold d={self.d} entries in 1..{self.m}")
             if seen & set(block):
                 raise ValueError("blocks must be pairwise disjoint")
             seen |= set(block)
-        if seen != full:
-            raise ValueError("blocks must cover {1..m}^d exactly")
 
 
 def cyclic_partition(d: int, m: int) -> Partition:

@@ -4,7 +4,9 @@ Compactly supported orthonormal wavelet filters (Haar and the minimal-phase
 Daubechies family, from tabulated float64 taps), exact evaluation of the
 scaling function and wavelet on dyadic grids by cascade refinement, and
 left-endpoint quadrature for inner products and moments of the sampled
-functions.
+functions.  One cascade rule refines both functions (Daubechies, *Ten
+Lectures on Wavelets*, 1992, section 6.5), and one table per function is
+cached, restricted for coarser grids and refined upward for finer ones.
 
 Conventions
 -----------
@@ -239,63 +241,6 @@ def _integer_values(filt: ScalarFilter) -> np.ndarray:
     return out
 
 
-def _tap_slices(shift: int, n_out: int, stride: int, offset: int, n_src: int) -> tuple:
-    """Slices ``(dst, src)`` so that ``out[dst] += c * table[src]`` adds one tap.
-
-    Output ``i`` in ``0..n_out-1`` reads ``table[stride * i + offset - shift]``
-    where that index lies in ``0..n_src-1``; a tap wholly outside the table
-    gives two empty slices, so it changes no bit of a +0.0 accumulator.
-    """
-    q0 = max(0, -((offset - shift) // stride))
-    q1 = max(q0, min(n_out, -((offset - shift - n_src) // stride)))
-    s0 = stride * q0 + offset - shift
-    return slice(q0, q1), slice(s0, s0 + stride * (q1 - q0), stride)
-
-
-def _phi_table(filt: ScalarFilter, J: int) -> np.ndarray:
-    """Scaling-function values on the level-J grid over [0, L-1).
-
-    Index p holds ``phi(p * 2**-J)``.  Even indices at each refinement are
-    copied from the previous level, so restriction to a coarser grid is
-    bitwise exact, and refinement resumes from the finest cached coarser
-    level instead of the integer grid.  Odd index ``2q + 1`` of level
-    ``j + 1`` sums ``sqrt(2) h[i] * vals[2q + 1 - (h_start + i) 2**j]``: one
-    stride-2 slice add per tap, in tap order, into a +0.0 accumulator.
-    """
-    coarser = [j for j in _cached_levels(filt, "scaling") if j < J]
-    if coarser:
-        j0, vals = coarser[-1], _table_cache[(_filter_key(filt), "scaling", coarser[-1])]
-    else:
-        j0, vals = 0, _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
-    for j in range(j0, J):
-        new = np.zeros(2 * len(vals))
-        new[0::2] = vals
-        acc = new[1::2]
-        for i, hk in enumerate(filt.h):
-            dst, src = _tap_slices((filt.h_start + i) * 2**j, len(acc), 2, 1, len(vals))
-            acc[dst] += SQRT2 * hk * vals[src]
-        vals = new
-    return vals
-
-
-def _psi_table(filt: ScalarFilter, J: int) -> np.ndarray:
-    """Wavelet values on the level-J grid over [1 - L/2, L/2).
-
-    ``psi(x) = sqrt(2) sum_i g[i] phi(2x - g_start - i)`` against the
-    level-max(J-1, 0) scaling table: one slice add per tap, in tap order,
-    into a +0.0 accumulator (stride 1, or stride 2 when J = 0).
-    """
-    L = filt.length
-    jp = max(J - 1, 0)
-    phi = _table(filt, "scaling", jp)
-    out = np.zeros((L - 1) * 2**J)
-    stride, offset = (2, 2 - L) if J == 0 else (1, (1 - L // 2) * 2**J)
-    for i, gk in enumerate(filt.g):
-        dst, src = _tap_slices((filt.g_start + i) * 2**jp, len(out), stride, offset, len(phi))
-        out[dst] += SQRT2 * gk * phi[src]
-    return out
-
-
 def _filter_key(filt: ScalarFilter) -> tuple:
     """Cache identity of a filter: its name, taps and offsets.
 
@@ -305,21 +250,38 @@ def _filter_key(filt: ScalarFilter) -> tuple:
     return (filt.name, filt.h.tobytes(), filt.h_start, filt.g.tobytes(), filt.g_start)
 
 
-_table_cache: dict[tuple[tuple, str, int], np.ndarray] = {}
+# one (level, table) per (filter, function): the finest table built so far
+_table_cache: dict[tuple[tuple, str], tuple[int, np.ndarray]] = {}
 
 
-def _cached_levels(filt: ScalarFilter, which: str) -> list[int]:
-    """Grid levels of the cached tables of one function, ascending."""
-    fkey = _filter_key(filt)
-    return sorted(j for k, w, j in _table_cache if k == fkey and w == which)
+def _add_taps(out, coef, start, j, src, stride, offset) -> None:
+    """Add ``sqrt(2) c_i src[stride q + offset - (start + i) 2**j]`` to ``out[q]``.
+
+    One slice add per tap, in tap order, reading only indices inside
+    ``src``: a tap wholly outside it gets empty slices, so it changes no
+    bit of a +0.0 accumulator.
+    """
+    for i, c in enumerate(coef):
+        base = offset - (start + i) * 2**j
+        q0 = max(0, -(base // stride))
+        q1 = max(q0, min(len(out), -((base - len(src)) // stride)))
+        s0 = stride * q0 + base
+        out[q0:q1] += SQRT2 * c * src[s0 : s0 + stride * (q1 - q0) : stride]
 
 
 def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
-    """Cached level-J table of the scaling function or wavelet.
+    """Read-only level-J table of the scaling function or wavelet.
 
-    A finer cached table is restricted instead of computing the level again:
-    the refinement and the wavelet sum form the same products in the same
-    order at shared grid points, so restriction is bitwise exact.
+    Index p holds the value at ``support_start + p * 2**-J``.  Only the
+    finest table of each function is cached.  A coarser request gets a
+    contiguous copy of every ``2**(level - J)``-th sample (``np.dot`` may
+    sum a strided view in another order); a finer one refines upward.
+    Level ``j + 1`` keeps level ``j`` as its even samples, and odd sample
+    ``2q + 1`` adds ``sqrt(2) c_i phi_j[2q + 2 s 2**j + 1 - (start + i) 2**j]``
+    over the taps ``(c, start)`` of h for phi and of g for psi, ``s`` the
+    support start.  Level 0 is the integer-grid eigenvector for phi, and the
+    same tap sum over it at stride 2 for psi.  Each sample is thus formed
+    once, from the same products in the same order, whatever the requests.
     """
     if which not in ("scaling", "wavelet"):
         raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
@@ -331,19 +293,38 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
             f"a level-{J} table of {filt.name} would hold {filt.length - 1} * 2**{J} samples, "
             f"more than the {MAX_TABLE_SAMPLES} allowed (level {finest} at most)"
         )
-    key = (_filter_key(filt), which, J)
-    if key not in _table_cache:
-        finer = [j for j in _cached_levels(filt, which) if j > J]
-        if finer:
-            fine = _table_cache[(key[0], which, finer[0])]
-            table = fine[:: 2 ** (finer[0] - J)].copy()
-        elif which == "scaling":
-            table = _phi_table(filt, J)
+    key = (_filter_key(filt), which)
+    level, table = _table_cache.get(key, (-1, None))
+    if J <= level:
+        if J == level:
+            return table
+        out = table[:: 2 ** (level - J)].copy()
+        out.flags.writeable = False
+        return out
+    scaling = which == "scaling"
+    coef, start = (filt.h, filt.h_start) if scaling else (filt.g, filt.g_start)
+    if not scaling:
+        top = max(J - 1, 0)
+        # a contiguous copy: taps reading strided views of a finer table
+        # took twice as long
+        phi = _table(filt, "scaling", top)
+    if level < 0:
+        if scaling:
+            table = _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
         else:
-            table = _psi_table(filt, J)
-        table.flags.writeable = False
-        _table_cache[key] = table
-    return _table_cache[key]
+            table = np.zeros(filt.length - 1)
+            _add_taps(table, coef, start, 0, phi[:: 2**top], 2, 2 - filt.length)
+        level = 0
+    s = support_start(filt, which)
+    for j in range(level, J):
+        new = np.zeros(2 * len(table))
+        new[0::2] = table
+        src = table if scaling else phi[:: 2 ** (top - j)]
+        _add_taps(new[1::2], coef, start, j, src, 2, 2 * s * 2**j + 1)
+        table = new
+    table.flags.writeable = False
+    _table_cache[key] = (J, table)
+    return table
 
 
 def support_start(filt: ScalarFilter, which: str) -> int:
@@ -443,7 +424,7 @@ def moment(f: SampledFunction, p: int) -> float:
     if not 0 <= p <= _MAX_MOMENT:
         raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {p}")
     if p == 0:
-        return math.fsum(f.values) * f.step
+        return math.fsum(f.values.tolist()) * f.step
     x = f.grid()
     xp = x.copy()
     for _ in range(p - 1):

@@ -81,6 +81,10 @@ def test_partition_validation():
         Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (1, 1))))
     with pytest.raises(ValueError):
         Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (2, 2))))
+    with pytest.raises(ValueError, match="entries in 1..2"):
+        Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (2, 3))))
+    with pytest.raises(ValueError, match="entries in 1..2"):
+        Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (2,))))
 
 
 def test_catalog_d2_m2():
@@ -432,8 +436,9 @@ def test_sweep_block_size_does_not_change_bits(monkeypatch):
 
 
 def _tables_after(form, name, d, m, max_level, k_range, J):
-    """The cascade-table and scaled-sample cache keys of a fresh process
-    after one sweep in the given form."""
+    """The cached cascade-table (function, level) pairs and the
+    scaled-sample cache keys of a fresh process after one sweep in the
+    given form."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
@@ -442,7 +447,8 @@ def _tables_after(form, name, d, m, max_level, k_range, J):
         f"b = t._basis({name!r}, {d}, {m})\n"
         f"fn = t.{'_loop_catalog_star_deviation' if form == 'loop' else 'catalog_star_deviation'}\n"
         f"fn(b, {max_level}, {k_range}, {J})\n"
-        "print(json.dumps([sorted(map(repr, c)) for c in (scalar._table_cache, scalar._scaled_cache)]))\n"
+        "tables = [(w, level) for (_, w), (level, _) in scalar._table_cache.items()]\n"
+        "print(json.dumps([sorted(tables), sorted(map(repr, scalar._scaled_cache))]))\n"
     )
     src = str(Path(vecwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,12 +1,17 @@
 """End-to-end command-line tests through main(argv)."""
 
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vecwave
 from vecwave import (
     VectorSignal,
     analyze_vector,
@@ -543,6 +548,34 @@ def test_huge_band_scale_is_refused_at_once(tmp_path, capsys):
     dec_path.write_bytes(blob)
     assert_refused_at_once(capsys, ["transform", "--in", str(dec_path), "--manifest", manifest,
                                     "--out", str(tmp_path / "rec.vwav"), "--inverse"], "outside 0..")
+
+
+def test_huge_partition_order_is_refused_at_once(tmp_path):
+    # a 68-byte .vdec whose header m would make {1..m}^d hold 4 million rows;
+    # run apart, so a regression fails on the timeout instead of hanging
+    manifest = build_manifest(tmp_path, d=2)
+    dec_path = tmp_path / "huge-m.vdec"
+    dec_path.write_bytes(b"VDEC1 d=2 m=2000 n=2 levels=0 filter=haar bands=0\npartition=1,1\nend\n")
+    code = (
+        "import sys, time\n"
+        "from vecwave.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, time.perf_counter() - t0)\n"
+    )
+    src = str(Path(vecwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "transform", "--in", str(dec_path), "--manifest",
+         str(manifest), "--out", str(tmp_path / "rec.vwav"), "--inverse"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    rc, seconds = out.stdout.split()
+    assert rc == "2"
+    assert float(seconds) < 1.0
+    assert "invalid partition" in out.stderr
 
 
 def test_transform_refuses_a_huge_levels_budget(tmp_path, capsys):

@@ -202,6 +202,16 @@ def test_low_moments_keep_the_bits_of_pow(name):
                 assert moment(f, p).hex() == pow_moment(f, p).hex(), (J, which, p)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_zeroth_moment_keeps_the_bits_of_fsum_over_the_array(name):
+    filt = filter_by_name(name)
+    for J in (6, 10):
+        for which in ("scaling", "wavelet"):
+            f = refine_sample(filt, which, J)
+            want = math.fsum(f.values) * f.step
+            assert moment(f, 0).hex() == want.hex(), (J, which)
+
+
 def test_moment_order_guard():
     p = refine_sample(haar_filter(), "scaling", 3)
     with pytest.raises(ValueError):
@@ -343,11 +353,10 @@ def _assert_kernels_match_mask_form(filt, levels, monkeypatch):
     for J in range(1, max(levels) + 1):
         ref_phi.append(_mask_phi(filt, J, J - 1, ref_phi[-1]))
     for J in levels:
-        monkeypatch.setattr(scalar, "_table_cache", {})
-        assert scalar._phi_table(filt, J).tobytes() == ref_phi[J].tobytes(), ("scaling", J)
-        monkeypatch.setattr(scalar, "_table_cache", {})
         ref_psi = _mask_psi(filt, J, ref_phi[max(J - 1, 0)])
-        assert scalar._psi_table(filt, J).tobytes() == ref_psi.tobytes(), ("wavelet", J)
+        for which, ref in (("scaling", ref_phi[J]), ("wavelet", ref_psi)):
+            monkeypatch.setattr(scalar, "_table_cache", {})
+            assert scalar._table(filt, which, J).tobytes() == ref.tobytes(), (which, J)
 
 
 @pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(2, 11)])
@@ -360,14 +369,62 @@ def test_slice_kernels_equal_mask_form(name, monkeypatch):
 @pytest.mark.parametrize("name", ["db3", "db10"])
 def test_slice_refinement_resumes_bitwise(name, monkeypatch):
     """Refinement resumed from each cached coarser level gives the mask
-    form's bytes."""
+    form's bytes, for the scaling function and the wavelet alike."""
     filt = filter_by_name(name)
     J = 10
-    expected = _mask_phi(filt, J).tobytes()
-    for j0 in range(J):
+    expected = {
+        "scaling": _mask_phi(filt, J).tobytes(),
+        "wavelet": _mask_psi(filt, J, _mask_phi(filt, J - 1)).tobytes(),
+    }
+    for which in ("scaling", "wavelet"):
+        for j0 in range(J):
+            monkeypatch.setattr(scalar, "_table_cache", {})
+            scalar._table(filt, which, j0)
+            assert scalar._table(filt, which, J).tobytes() == expected[which], (which, j0)
+
+
+def test_cache_keeps_one_table_per_function(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(scalar, "_table_cache", cache)
+    filt = filter_by_name("db4")
+    for J in range(10, 15):
+        scalar._table(filt, "wavelet", J)
+    key = scalar._filter_key(filt)
+    assert sorted(cache) == [(key, "scaling"), (key, "wavelet")]
+    assert cache[key, "scaling"][0] == 13
+    assert cache[key, "wavelet"][0] == 14
+
+
+def test_restricted_table_is_read_only_and_contiguous(monkeypatch):
+    monkeypatch.setattr(scalar, "_table_cache", {})
+    filt = filter_by_name("db3")
+    fine = scalar._table(filt, "wavelet", 12)
+    for J in (0, 5, 11, 12):
+        table = scalar._table(filt, "wavelet", J)
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+        assert table.tobytes() == fine[:: 2 ** (12 - J)].tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_verify_report_independent_of_cached_levels(monkeypatch):
+    """A verify report reads the same bytes from tables restricted from
+    level 17 as from tables refined up from an empty cache."""
+    from vecwave import build_basis_nd
+    from vecwave.cli import run_verify
+
+    filt = filter_by_name("db4")
+    basis = build_basis_nd(filt, 1, 2)
+    reports = []
+    for warm in (False, True):
         monkeypatch.setattr(scalar, "_table_cache", {})
-        scalar._table(filt, "scaling", j0)
-        assert scalar._phi_table(filt, J).tobytes() == expected, j0
+        monkeypatch.setattr(scalar, "_scaled_cache", {})
+        if warm:
+            for which in ("scaling", "wavelet"):
+                scalar._table(filt, which, 17)
+        reports.append(run_verify(basis, 8, "sampled").to_csv())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("h_start", [-3, -1, 0, 2, 7])
