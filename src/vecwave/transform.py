@@ -19,7 +19,14 @@ schedule is the plain scalar pyramid, m * levels + m - 1 steps deep.
 
 Matrix columns are routed by the block partition.  Columns shorter than
 the widest column of their family are padded with structural zeros; the
-column lengths recorded in the band act as the validity mask.
+column lengths recorded in the band act as the validity mask.  Synthesis
+reads only the slots past each column's length to check that they are
++-0.0, and refuses a decomposition with anything else there.
+
+Signals and bands share one ownership rule: a read-only float64 array that
+owns its memory is kept as it is, since nothing can change it under them,
+and anything else is copied.  Either way the stored array is read-only.
+Analysis and synthesis hand over their fresh results that way, uncopied.
 
 Every step is a periodized orthonormal filter pair, hence exactly
 orthogonal for any even length: analysis and synthesis invert each other
@@ -74,14 +81,35 @@ def _is_pow2(n) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _frozen(values) -> np.ndarray:
+    """`values` kept if a read-only float64 array owning its memory, else copied to float64.
+
+    The ownership rule of `VectorSignal` and `Band`; each marks the result
+    read-only once it is checked.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    return np.array(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class VectorSignal:
-    """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n."""
+    """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n.
+
+    values follows the ownership rule of `Band`: a read-only float64 array
+    that owns its memory is kept, anything else is copied, and the stored
+    array is read-only.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _frozen(self.values)
         if not 2 <= values.ndim <= MAX_SAMPLE_D + 1:
             raise DimensionError(f"signal must have 1 to {MAX_SAMPLE_D} space axes, got shape {values.shape}")
         if values.shape[0] < 1:
@@ -263,6 +291,9 @@ class Band:
     describes column r as one (kind, scale, length) triple per axis; slots
     at or beyond a column's length are structural zeros (the validity
     mask).  level is the vector level t, or -1 for the base family.
+    values is kept when it is a read-only float64 array that owns its
+    memory, since nothing can change it under the band; anything else is
+    copied.  The stored array is read-only.
     """
 
     key: str
@@ -275,16 +306,7 @@ class Band:
     def __post_init__(self):
         eps = tuple(int(b) for b in self.eps)
         cols = tuple(tuple((str(k), int(s), int(ln)) for k, s, ln in col) for col in self.cols)
-        values = self.values
-        # a read-only float array that owns its memory cannot change under
-        # the band, so it is kept; anything else is copied
-        if not (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.flags.owndata
-            and not values.flags.writeable
-        ):
-            values = np.array(values, dtype=float)
+        values = _frozen(self.values)
         d = values.ndim - 2
         if not 1 <= d <= MAX_SAMPLE_D:
             raise ValueError(f"band values must have 1 to {MAX_SAMPLE_D} translate axes, got shape {values.shape}")
@@ -510,10 +532,14 @@ def _unpack_bands(dec: VectorDecomposition) -> dict:
     for band in dec.bands:
         for rho, col in enumerate(band.cols):
             full = band.values[:, rho]
-            sl = (slice(None),) + tuple(slice(0, length) for _, _, length in col)
-            arr = full[sl]
-            if np.count_nonzero(full) != np.count_nonzero(arr):
-                raise CorruptionError(f"nonzero coefficient in a masked slot of {band.key} column {rho}")
+            valid = tuple(slice(0, length) for _, _, length in col)
+            # the masked slots are the slabs past the column's length on
+            # axis i with the axes before i cut to their lengths: each
+            # masked slot is read once and no valid slot at all
+            for ax, (_, _, length) in enumerate(col):
+                if length < full.shape[1 + ax] and full[(slice(None),) + valid[:ax] + (slice(length, None),)].any():
+                    raise CorruptionError(f"nonzero coefficient in a masked slot of {band.key} column {rho}")
+            arr = full[(slice(None),) + valid]
             descs = tuple((kind, scale) for kind, scale, _ in col)
             if descs in pieces:
                 raise CorruptionError(f"subband {descs} claimed twice")
@@ -545,6 +571,9 @@ def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> 
     for axis, _, src, out in reversed(ops):
         pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
     (a,) = pieces.values()
+    # a fresh pyramid output is kept by VectorSignal; with no steps (m = 1,
+    # levels = 0) `a` is a view of band storage, which it copies
+    a.flags.writeable = False
     return VectorSignal(a)
 
 

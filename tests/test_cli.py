@@ -16,6 +16,7 @@ from vecwave import (
     VectorSignal,
     analyze_vector,
     build_basis_nd,
+    decomposition_from_bytes,
     decomposition_to_bytes,
     haar_filter,
     refine_sample,
@@ -333,6 +334,41 @@ def test_transform_rejects_non_finite_inputs(tmp_path, capsys):
     assert rc == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not rec.exists()
+
+
+def test_inverse_refuses_a_nonzero_masked_slot(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=2, m=2)
+    sig_path, _ = write_signal(tmp_path, 2, (32, 32))
+    dec_path = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    clean = dec_path.read_bytes()
+    clean_rec = tmp_path / "clean.vwav"
+    assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                 "--out", str(clean_rec), "--inverse"]) == 0
+    # the byte offset of the first slot past a column's length
+    dec = decomposition_from_bytes(clean)
+    offset = clean.index(b"\nend\n") + len(b"\nend\n")
+    for band in dec.bands:
+        shorter = [r for r in range(band.m) if band.col_lengths(r)[0] < band.values.shape[2]]
+        if shorter:
+            slot = (0, shorter[0], band.col_lengths(shorter[0])[0], 0)
+            offset += 8 * int(np.ravel_multi_index(slot, band.values.shape))
+            message = f"nonzero coefficient in a masked slot of {band.key} column {shorter[0]}"
+            break
+        offset += band.values.nbytes
+    assert clean[offset:offset + 8] == bytes(8)
+    capsys.readouterr()
+    for value, rc in ((0.5, 2), (-0.0, 0)):
+        dec_path.write_bytes(clean[:offset] + np.array([value], dtype="<f8").tobytes() + clean[offset + 8:])
+        rec = tmp_path / f"rec{rc}.vwav"
+        assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                     "--out", str(rec), "--inverse"]) == rc
+        if rc:
+            assert message in capsys.readouterr().err
+            assert not rec.exists()
+        else:
+            assert rec.read_bytes() == clean_rec.read_bytes()
 
 
 def polyline_points(svg: str):

@@ -32,7 +32,7 @@ from vecwave import (
 )
 from vecwave.basisnd import FamilyND
 from vecwave.scalar import ScalarFilter
-from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step
+from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step, _unpack_bands
 
 HAAR = filter_by_name("haar")
 DB2 = filter_by_name("db2")
@@ -472,6 +472,80 @@ def test_masked_slot_corruption_detected():
         synthesize_vector(replace(dec, bands=bands), basis)
 
 
+def _two_count_accepts(band):
+    """The former rule: a column holds as many nonzeros as its valid slots do."""
+    for rho, col in enumerate(band.cols):
+        full = band.values[:, rho]
+        valid = full[(slice(None),) + tuple(slice(0, length) for _, _, length in col)]
+        if np.count_nonzero(full) != np.count_nonzero(valid):
+            return False
+    return True
+
+
+def _unpack_refusal(dec, band):
+    """The CorruptionError text synthesis gives for `band`, or None if it unpacks."""
+    try:
+        _unpack_bands(replace(dec, bands=(band,)))
+    except CorruptionError as exc:
+        return str(exc)
+    return None
+
+
+def _masked_slots(band, rho):
+    """Two slots of each class of masked slots of column rho.
+
+    A class is the nonempty set of axes on which the slot lies past the
+    column's length: each axis alone, every pair, and the corner past every
+    axis.  Each class gets the slot nearest the valid block and the one
+    farthest from it.
+    """
+    lengths = band.col_lengths(rho)
+    sizes = band.values.shape[2:]
+    d = len(sizes)
+    for bits in range(1, 2**d):
+        past = [(bits >> ax) & 1 for ax in range(d)]
+        if any(p and length == size for p, length, size in zip(past, lengths, sizes)):
+            continue
+        near = tuple(length if p else length - 1 for p, length in zip(past, lengths))
+        far = tuple(size - 1 if p else 0 for p, size in zip(past, sizes))
+        yield tuple(past), near
+        yield tuple(past), far
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("name", ("haar", "db4"))
+def test_masked_slot_check_matches_the_two_count_rule(name, d, m):
+    # one vector level: the smallest grid is 2 ** (2m - 1) per axis
+    n = 2 ** (2 * m - 1)
+    basis = build_basis_nd(filter_by_name(name), d, m)
+    dec = analyze_vector(VectorSignal(np.random.default_rng(14).standard_normal((m,) + (n,) * d)), basis, 1)
+    classes = set()
+    for band in dec.bands:
+        assert _unpack_refusal(dec, band) is None and _two_count_accepts(band)
+        for rho in range(m):
+            row = (m - 1 - rho) % m
+            for past, slot in _masked_slots(band, rho):
+                for value, verdict in ((0.5, False), (-0.0, True)):
+                    values = np.array(band.values)
+                    values[(row, rho) + slot] = value
+                    bad = replace(band, values=values)
+                    assert _two_count_accepts(bad) is verdict, (band.key, rho, slot)
+                    refusal = None if verdict else f"nonzero coefficient in a masked slot of {band.key} column {rho}"
+                    assert _unpack_refusal(dec, bad) == refusal, (band.key, rho, slot)
+                classes.add(past)
+            # a valid slot may hold anything
+            values = np.array(band.values)
+            values[(row, rho) + tuple(length - 1 for length in band.col_lengths(rho))] = 0.5
+            assert _unpack_refusal(dec, replace(band, values=values)) is None
+    if m > 1:
+        # every axis's slab and the corner past every axis were corrupted
+        assert {tuple(int(ax == i) for ax in range(d)) for i in range(d)} <= classes
+        assert (1,) * d in classes
+    else:
+        assert not classes
+
+
 def test_missing_band_corruption_detected():
     basis = build_vector_basis(HAAR, 2)
     dec = analyze_vector(VectorSignal(np.ones((2, 16))), basis, 1)
@@ -624,6 +698,53 @@ def test_band_keeps_frozen_owned_arrays_and_copies_others():
     view = np.ones((1, 1, 2))[..., :1]
     view.flags.writeable = False
     assert band(view).values.flags.owndata
+
+
+def test_synthesis_hands_over_its_own_read_only_result():
+    rng = np.random.default_rng(16)
+    for basis, shape, levels in (
+        (build_vector_basis(DB2, 2), (2, 64), 2),
+        (build_basis_nd(HAAR, 2, 3), (3, 32, 32), 1),
+        (build_basis_nd(HAAR, 1, 1), (1, 16), 2),
+    ):
+        dec = analyze_vector(VectorSignal(rng.standard_normal(shape)), basis, levels)
+        values = synthesize_vector(dec, basis).values
+        assert values.flags.owndata and not values.flags.writeable
+        assert values.dtype == np.float64 and values.shape == shape
+
+
+def test_synthesis_without_steps_copies_band_storage():
+    # m = 1, levels = 0 runs no scalar step: the result is a view of the base band
+    basis = build_basis_nd(HAAR, 2, 1)
+    x = np.random.default_rng(17).standard_normal((1, 8, 8))
+    dec = analyze_vector(VectorSignal(x), basis, 0)
+    rec = synthesize_vector(dec, basis)
+    assert rec.values.flags.owndata and not rec.values.flags.writeable
+    assert not any(np.shares_memory(rec.values, band.values) for band in dec.bands)
+    assert_array_equal(rec.values, x)
+
+
+def test_vector_signal_keeps_frozen_owned_arrays_and_copies_others():
+    frozen = np.ones((2, 8))
+    frozen.flags.writeable = False
+    assert VectorSignal(frozen).values is frozen
+
+    base = np.ones((2, 16))
+    readonly_view = base[:, :8]
+    readonly_view.flags.writeable = False
+    float32 = np.ones((2, 8), dtype=np.float32)
+    float32.flags.writeable = False
+    live = np.ones((2, 8))
+    for arg in (live, base[:, 8:], readonly_view, float32, [[1.0] * 8] * 2):
+        sig = VectorSignal(arg)
+        assert sig.values.flags.owndata and not sig.values.flags.writeable
+        assert sig.values.dtype == np.float64
+        assert not np.shares_memory(sig.values, base) and not np.shares_memory(sig.values, live)
+        base[...] = 5.0
+        live[...] = 5.0
+        assert_array_equal(sig.values, np.ones((2, 8)))
+        base[...] = 1.0
+        live[...] = 1.0
 
 
 def test_signal_bytes_round_trip():
