@@ -2,11 +2,13 @@
 
 Compactly supported orthonormal wavelet filters (Haar and the minimal-phase
 Daubechies family, from tabulated float64 taps), exact evaluation of the
-scaling function and wavelet on dyadic grids by cascade refinement, and
-left-endpoint quadrature for inner products and moments of the sampled
-functions.  One cascade rule refines both functions (Daubechies, *Ten
-Lectures on Wavelets*, 1992, section 6.5), and one table per function is
-cached, restricted for coarser grids and refined upward for finer ones.
+scaling function and wavelet on dyadic grids, and left-endpoint quadrature
+for inner products and moments of the sampled functions.  The scaling
+function is the one cascade; the wavelet is one two-scale pass over it,
+``psi(x) = sqrt(2) * sum_k g[k] * phi(2x - k)`` (Daubechies, *Ten Lectures
+on Wavelets*, 1992, section 6.5).  One table per function is cached,
+restricted for coarser grids and built anew for finer ones, and a scale-0
+atom shares the cached table itself.
 
 Conventions
 -----------
@@ -275,13 +277,14 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
     Index p holds the value at ``support_start + p * 2**-J``.  Only the
     finest table of each function is cached.  A coarser request gets a
     contiguous copy of every ``2**(level - J)``-th sample (``np.dot`` may
-    sum a strided view in another order); a finer one refines upward.
-    Level ``j + 1`` keeps level ``j`` as its even samples, and odd sample
-    ``2q + 1`` adds ``sqrt(2) c_i phi_j[2q + 2 s 2**j + 1 - (start + i) 2**j]``
-    over the taps ``(c, start)`` of h for phi and of g for psi, ``s`` the
-    support start.  Level 0 is the integer-grid eigenvector for phi, and the
-    same tap sum over it at stride 2 for psi.  Each sample is thus formed
-    once, from the same products in the same order, whatever the requests.
+    sum a strided view in another order); a finer one is built.  phi is the
+    one cascade: level 0 is the integer-grid eigenvector, and level
+    ``j + 1`` keeps level ``j`` as its even samples while odd sample
+    ``2q + 1`` adds ``sqrt(2) h_i phi_j[2q + 1 - (h_start + i) 2**j]``.  psi
+    is one pass over phi at level ``t = max(J - 1, 0)``: the value at ``x``
+    adds ``sqrt(2) g_i phi_t[(2x - g_start - i) 2**t]`` over the taps of g.
+    Each sample is thus formed once, from the same products in the same
+    order, whatever the requests.
     """
     if which not in ("scaling", "wavelet"):
         raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
@@ -301,27 +304,22 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
         out = table[:: 2 ** (level - J)].copy()
         out.flags.writeable = False
         return out
-    scaling = which == "scaling"
-    coef, start = (filt.h, filt.h_start) if scaling else (filt.g, filt.g_start)
-    if not scaling:
-        top = max(J - 1, 0)
-        # a contiguous copy: taps reading strided views of a finer table
-        # took twice as long
-        phi = _table(filt, "scaling", top)
-    if level < 0:
-        if scaling:
-            table = _integer_values(filt)[:-1]  # left-closed: drop phi(L-1) = 0
-        else:
-            table = np.zeros(filt.length - 1)
-            _add_taps(table, coef, start, 0, phi[:: 2**top], 2, 2 - filt.length)
-        level = 0
-    s = support_start(filt, which)
-    for j in range(level, J):
-        new = np.zeros(2 * len(table))
-        new[0::2] = table
-        src = table if scaling else phi[:: 2 ** (top - j)]
-        _add_taps(new[1::2], coef, start, j, src, 2, 2 * s * 2**j + 1)
-        table = new
+    if which == "wavelet":
+        t = max(J - 1, 0)
+        # sample q, at x = s + q 2**-J, reads phi_t index 2**(t + 1) x - (g_start + i) 2**t:
+        # stride 2 at J = 0, where phi_0 is on the same grid, else 1
+        stride = 2 ** (t + 1 - J)
+        phi = _table(filt, "scaling", t)
+        table = np.zeros((filt.length - 1) * 2**J)
+        _add_taps(table, filt.g, filt.g_start, t, phi, stride, support_start(filt, which) * 2 ** (t + 1))
+    else:
+        if level < 0:
+            table, level = _integer_values(filt)[:-1], 0  # left-closed: drop phi(L-1) = 0
+        for j in range(level, J):
+            new = np.zeros(2 * len(table))
+            new[0::2] = table
+            _add_taps(new[1::2], filt.h, filt.h_start, j, table, 2, 1)
+            table = new
     table.flags.writeable = False
     _table_cache[key] = (J, table)
     return table
@@ -372,7 +370,8 @@ def scaled_atom_sample(
     ``atom`` is the scaling function or the wavelet per ``which``.  Requires
     ``J >= scale`` so the dilated function still lands on grid points
     exactly.  The values do not depend on ``k``, so every translate shares
-    one cached array.
+    one cached array; at scale 0 it is the level-J table itself, since
+    ``1.0 * x`` is ``x`` bit for bit.
     """
     if J < scale:
         raise ResolutionError(
@@ -384,8 +383,10 @@ def scaled_atom_sample(
         )
     key = (_filter_key(filt), which, scale, J)
     if key not in _scaled_cache:
-        values = 2.0 ** (scale / 2.0) * _table(filt, which, J - scale)
-        values.flags.writeable = False
+        values = _table(filt, which, J - scale)
+        if scale:
+            values = 2.0 ** (scale / 2.0) * values
+            values.flags.writeable = False
         _scaled_cache[key] = values
     # the table guard above has bounded J - scale
     start = (support_start(filt, which) + k) * 2 ** (J - scale)

@@ -395,6 +395,44 @@ def test_cache_keeps_one_table_per_function(monkeypatch):
     assert cache[key, "wavelet"][0] == 14
 
 
+@pytest.mark.parametrize("J", [0, 1, 9])
+def test_wavelet_is_one_pass_over_the_scaling_table(J, monkeypatch):
+    """With phi cached at level max(J - 1, 0), psi_J is one pass of the g
+    taps over it: no refinement ladder of its own."""
+    monkeypatch.setattr(scalar, "_table_cache", {})
+    filt = filter_by_name("db4")
+    scalar._table(filt, "scaling", max(J - 1, 0))
+    calls = []
+    add_taps = scalar._add_taps
+
+    def counted(*args):
+        calls.append(args)
+        add_taps(*args)
+
+    monkeypatch.setattr(scalar, "_add_taps", counted)
+    scalar._table(filt, "wavelet", J)
+    assert len(calls) == 1
+
+
+def test_scale0_atoms_share_the_cached_tables(monkeypatch):
+    """After a cold verify, a scale-0 atom on the grid of a cached table
+    holds that table itself, not a copy of it."""
+    from vecwave import build_basis_nd
+    from vecwave.cli import run_verify
+
+    monkeypatch.setattr(scalar, "_table_cache", {})
+    monkeypatch.setattr(scalar, "_scaled_cache", {})
+    filt = filter_by_name("db4")
+    run_verify(build_basis_nd(filt, 1, 2), 8, "sampled")
+    tables = {which: entry for (_, which), entry in scalar._table_cache.items()}
+    shared = [
+        values is tables[which][1]
+        for (_, which, scale, J), values in scalar._scaled_cache.items()
+        if scale == 0 and J == tables[which][0]
+    ]
+    assert len(shared) == 2 and all(shared)
+
+
 def test_restricted_table_is_read_only_and_contiguous(monkeypatch):
     monkeypatch.setattr(scalar, "_table_cache", {})
     filt = filter_by_name("db3")
