@@ -24,8 +24,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotOrthonormalError, ResolutionError
-from .scalar import ScalarFilter, filter_deviations, quad_inner, scaled_atom_sample
+from .errors import NotOrthonormalError, ResolutionError, SizeGuardError
+from .scalar import (
+    MAX_TABLE_SAMPLES,
+    ScalarFilter,
+    _dot,
+    _filter_key,
+    filter_deviations,
+    scaled_atom_sample,
+)
 from .star import MatrixM
 
 
@@ -102,35 +109,67 @@ class MatrixFilter:
 
 
 def _compose_step(c: np.ndarray, c_start: int, h: np.ndarray, h_start: int) -> tuple:
-    """One two-scale composition: new_k = sum_n c_n h_{k - 2n}."""
-    L = len(h)
-    out = np.zeros(2 * (len(c) - 1) + L)
-    for n, cn in enumerate(c):
-        out[2 * n : 2 * n + L] += cn * h
+    """One two-scale composition: new_k = sum_n c_n h_{k - 2n}, from +0.0 in ascending n.
+
+    Tap i adds c_n h_i to new_{2n + i} for every n at once.  The taps go in
+    descending order, so the terms of any one output arrive in ascending n.
+    """
+    out = np.zeros(2 * (len(c) - 1) + len(h))
+    for i in range(len(h) - 1, -1, -1):
+        out[i : i + 2 * len(c) - 1 : 2] += c * h[i]
     return out, 2 * c_start + h_start
+
+
+# one expansion per (filter, kind, depth): a factor's coefficients over
+# phi_{scale + depth, n} do not depend on its scale, and its shift only
+# moves their start
+_expansion_cache: dict[tuple[tuple, str, int], tuple[np.ndarray, int]] = {}
+
+
+def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: int) -> tuple:
+    """Coefficients of the factor ``2**(scale/2) atom(2**scale x - shift)`` over
+    the orthonormal ``phi_{level,n} = 2**(level/2) phi(2**level x - n)``.
+
+    Returns ``(coeffs, start)``: ``coeffs[i]`` belongs to ``n = start + i``.
+    A scaling key starts from ``[1]`` at its own scale, a wavelet key from g
+    one level finer (``psi_{s,k} = sum_n g_n phi_{s+1,2k+n}``), and both then
+    go through h one level per step.  The expansion is exact up to the
+    rounding of its products and sums, and reads no cascade table.
+    """
+    if kind not in ("scaling", "wavelet"):
+        raise ValueError(f"kind must be 'scaling' or 'wavelet', got {kind!r}")
+    depth = level - scale
+    if depth < (kind == "wavelet"):
+        raise ResolutionError(f"level {level} too coarse for a {kind} factor at scale {scale}")
+    # the deepest expansion whose (L - 1) * 2**depth coefficients fit, as for a cascade table
+    finest = (MAX_TABLE_SAMPLES // (filt.length - 1)).bit_length() - 1
+    if depth > finest:
+        raise SizeGuardError(
+            f"a depth-{depth} expansion of {filt.name} would hold about {filt.length - 1} * 2**{depth} "
+            f"coefficients, more than the {MAX_TABLE_SAMPLES} allowed (depth {finest} at most)"
+        )
+    key = (_filter_key(filt), kind, depth)
+    if key not in _expansion_cache:
+        if kind == "scaling":
+            seq, start, steps = np.ones(1), 0, depth
+        else:
+            seq, start, steps = filt.g, filt.g_start, depth - 1
+        for _ in range(steps):
+            seq, start = _compose_step(seq, start, filt.h, filt.h_start)
+        seq.flags.writeable = False
+        _expansion_cache[key] = (seq, start)
+    seq, start = _expansion_cache[key]
+    return seq, start + shift * 2 ** (level - scale)
 
 
 def matrix_refinement_filter(basis: VectorBasis1D) -> MatrixFilter:
     """Taps P_k expressing each channel through the dilation-2^m relation.
 
-    Channel r at scale s expands through m - s two-scale steps down to
-    scale-m translates of phi, so only the first tap column is nonzero.
-    The first step uses the channel's own filter (h or g), every further
-    step uses h.
+    Channel r is expanded by :func:`expand_factor` over the scale-m
+    translates of phi, so only the first tap column is nonzero.
     """
-    filt = basis.filter
     m = basis.m
-    rows = []
-    for c in basis.scaling_components():
-        if c.kind == "scaling":
-            seq, start = filt.h.copy(), filt.h_start
-            extra = m - 1
-        else:
-            seq, start = filt.g.copy(), filt.g_start
-            extra = m - c.scale - 1
-        for _ in range(extra):
-            seq, start = _compose_step(seq, start, filt.h, filt.h_start)
-        rows.append((seq, start))
+    rows = [expand_factor(basis.filter, c.kind, c.scale, 0, m) for c in basis.scaling_components()]
     lo = min(s for _, s in rows)
     hi = max(s + len(q) for q, s in rows)
     taps = np.zeros((hi - lo, m, m))
@@ -220,12 +259,14 @@ def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
 
 
 class FactorInnerCache:
-    """Quadrature inner products of 1D scalar factors over memoized samples.
+    """Inner products of 1D scalar factors from their tap expansions.
 
     A key ``(kind, scale, shift)`` names the factor
-    ``2**(scale/2) atom(2**scale x - shift)``.  Each pair is measured on a
-    grid J levels finer than the larger of the two scales, so J is a
-    resolution margin and fine-scale factors are never undersampled.
+    ``2**(scale/2) atom(2**scale x - shift)``.  Two factors pair as the dot of
+    their :func:`expand_factor` coefficients at one common level: the
+    ``phi_{L,n}`` are orthonormal, so the pairing is exact up to rounding
+    (Plonka & Strela, *Adv. Comput. Math.* 8, 1998) and samples no cascade
+    table.  J must still be >= 1, but the Gram does not depend on it.
     """
 
     def __init__(self, filt: ScalarFilter, J: int):
@@ -233,35 +274,35 @@ class FactorInnerCache:
             raise ValueError(f"need a resolution margin J >= 1, got {J}")
         self.filt = filt
         self.J = J
-        self._samples = {}
-        self._quads = {}
-
-    def _sample(self, key, grid: int):
-        skey = key + (grid,)
-        if skey not in self._samples:
-            self._samples[skey] = scaled_atom_sample(self.filt, *skey)
-        return self._samples[skey]
+        self._dots = {}
 
     def gram(self, keys: list) -> np.ndarray:
-        """Gram matrix of the listed keys, one quadrature per translate offset.
+        """Gram matrix of the listed keys, one dot per translate offset.
 
         Entry (p, q), p <= q, is measured in that order and mirrored; a key
-        listed twice gets two rows.  Two pairs that differ by a common
-        translate slice the same sample arrays at the same offsets, so one
-        quadrature per ``(kind_a, scale_a, kind_b, scale_b, grid, start_b -
-        start_a)`` serves them all with the same bits.
+        listed twice gets two rows.  The pair is expanded to the level
+        ``L = max(scale + [kind == "wavelet"])``, the coarsest both reach.
+        Two pairs that differ by a common translate dot the same coefficient
+        arrays at the same offsets, so one dot per ``(kind_a, scale_a,
+        kind_b, scale_b, start_b - start_a)`` serves them all with the same
+        bits.
         """
         n = len(keys)
         out = np.empty((n, n))
+        expansions = {}
         for p, key_a in enumerate(keys):
             for q in range(p, n):
                 key_b = keys[q]
-                grid = max(key_a[1], key_b[1]) + self.J
-                fa, fb = self._sample(key_a, grid), self._sample(key_b, grid)
-                tag = (key_a[0], key_a[1], key_b[0], key_b[1], grid, fb.start - fa.start)
-                if tag not in self._quads:
-                    self._quads[tag] = quad_inner(fa, fb)
-                out[p, q] = out[q, p] = self._quads[tag]
+                level = max(key_a[1] + (key_a[0] == "wavelet"), key_b[1] + (key_b[0] == "wavelet"))
+                for key in (key_a, key_b):
+                    if (key, level) not in expansions:
+                        expansions[key, level] = expand_factor(self.filt, *key, level)
+                (ca, sa), (cb, sb) = expansions[key_a, level], expansions[key_b, level]
+                tag = (key_a[0], key_a[1], key_b[0], key_b[1], sb - sa)
+                if tag not in self._dots:
+                    lo, hi = max(sa, sb), min(sa + len(ca), sb + len(cb))
+                    self._dots[tag] = _dot(ca[lo - sa : hi - sa], cb[lo - sb : hi - sb]) if lo < hi else 0.0
+                out[p, q] = out[q, p] = self._dots[tag]
         return out
 
 
@@ -269,8 +310,8 @@ def translate_gram_deviation(mw: Multiwavelet, J: int = 8, k_range: int = 2) -> 
     """How far the 2m generators are from translate-orthonormality.
 
     Every pair of generator translates with |k| <= k_range is measured
-    by :meth:`FactorInnerCache.gram`, so J is a resolution margin and
-    fine-scale generators are never undersampled.  Returns the largest
+    by :meth:`FactorInnerCache.gram` from the filter taps, so the result
+    does not depend on J, which must still be >= 1.  Returns the largest
     deviation from the identity pairing.
     """
     # One row per (slot, k), not per descriptor: duplicated generators must
@@ -285,8 +326,9 @@ def translate_gram_deviation(mw: Multiwavelet, J: int = 8, k_range: int = 2) -> 
 def from_multiwavelet(mw: Multiwavelet, J: int = 8, tol: float = 1e-10) -> VectorBasis1D:
     """Reassemble a vector basis from multiwavelet generators.
 
-    The generators are Gram-checked under integer translation first; a
-    deviation above ``tol`` raises NotOrthonormalError.  The descriptor
+    The generators are Gram-checked under integer translation first (by
+    :func:`translate_gram_deviation`, which ignores J's value); a deviation
+    above ``tol`` raises NotOrthonormalError.  The descriptor
     lists must form the laddered scale layout produced by
     :func:`to_multiwavelet`, which pins down the basis uniquely.
     """

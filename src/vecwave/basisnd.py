@@ -331,8 +331,9 @@ def catalog_star_deviation(
 
     Distinct atoms must pair to the zero matrix, each atom to identity.
     The (N m) x (N m) star matrix is gathered in blocks of rows from one
-    Gram matrix of the catalog's distinct factor keys; J is the per-factor
-    resolution margin (see FactorInnerCache).
+    Gram matrix of the catalog's distinct factor keys, taken from the
+    filter taps (see FactorInnerCache), so the result does not depend on J,
+    which must still be >= 1.
     """
     n = catalog_rows(basis.d, basis.m, max_level, k_range)
     if n > MAX_SWEEP_ROWS:

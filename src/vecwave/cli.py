@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant checks")
     p_verify.add_argument("--manifest", required=True)
-    p_verify.add_argument("--j", type=int, default=None, help="resolution margin (default: VECWAVE_J or 10)")
+    p_verify.add_argument("--j", type=int, default=None, help="grid level of the sampled checks (default: VECWAVE_J or 10)")
     p_verify.add_argument("--profile", choices=sorted(_PROFILES), default="exact")
     p_verify.add_argument("--report", default=None, help="also write the CSV report here")
     p_verify.set_defaults(func=_cmd_verify)

@@ -276,8 +276,8 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
 
     Index p holds the value at ``support_start + p * 2**-J``.  Only the
     finest table of each function is cached.  A coarser request gets a
-    contiguous copy of every ``2**(level - J)``-th sample (``np.dot`` may
-    sum a strided view in another order); a finer one is built.  phi is the
+    contiguous copy of every ``2**(level - J)``-th sample (a dot may sum a
+    strided view in another order); a finer one is built.  phi is the
     one cascade: level 0 is the integer-grid eigenvector, and level
     ``j + 1`` keeps level ``j`` as its even samples while odd sample
     ``2q + 1`` adds ``sqrt(2) h_i phi_j[2q + 1 - (h_start + i) 2**j]``.  psi
@@ -393,6 +393,28 @@ def scaled_atom_sample(
     return SampledFunction(start, J, _scaled_cache[key])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(a * b)`` with the same bits whatever the machine's thread count.
+
+    ``np.dot`` hands long vectors to a threaded BLAS, whose partial sums
+    follow the thread count.  Here each product splits without error into
+    a multiple of ``2**-53 * sigma``, and these parts sum exactly in any
+    order; the small remainders are summed pairwise.  So the result is the
+    sum of the rounded products up to about one rounding (Rump, Ogita &
+    Oishi, "Accurate floating-point summation part I", *SIAM J. Sci.
+    Comput.* 31, 2008, ExtractVector).  Products past ``2**+-900``, where
+    sigma would leave the normal range, are summed pairwise alone.
+    """
+    p = a * b
+    top = float(abs(p).max(initial=0.0))
+    if not 2.0**-900 < top < 2.0**900:
+        return float(p.sum())
+    # sigma = 2**k >= (n + 2) * max|p|
+    sigma = 2.0 ** ((len(p) + 1).bit_length() + math.frexp(top)[1])
+    q = (sigma + p) - sigma
+    return float(q.sum()) + float((p - q).sum())
+
+
 def quad_inner(f: SampledFunction, g: SampledFunction) -> float:
     """Left-endpoint quadrature of ``integral f g`` over the union support.
 
@@ -409,7 +431,7 @@ def quad_inner(f: SampledFunction, g: SampledFunction) -> float:
         return 0.0
     fv = f.values[lo - f.start : hi - f.start]
     gv = g.values[lo - g.start : hi - g.start]
-    return float(np.dot(fv, gv)) * f.step
+    return _dot(fv, gv) * f.step
 
 
 def moment(f: SampledFunction, p: int) -> float:
@@ -419,8 +441,8 @@ def moment(f: SampledFunction, p: int) -> float:
     an elementwise ``pow``.  Up to ``x**3`` the products are exact while
     every grid index ``x * 2**level`` is below 2**17 in magnitude, since its
     cube then fits a double's 53 bits; higher powers may differ from
-    ``pow`` in the last bits, far below the rounding noise of the dot's
-    cancellation.
+    ``pow`` in the last bits.  The sum is ``_dot``'s, so its bits do not
+    depend on the thread count.
     """
     if not 0 <= p <= _MAX_MOMENT:
         raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {p}")
@@ -430,7 +452,7 @@ def moment(f: SampledFunction, p: int) -> float:
     xp = x.copy()
     for _ in range(p - 1):
         xp *= x
-    return float(np.dot(xp, f.values)) * f.step
+    return _dot(xp, f.values) * f.step
 
 
 def sampled_to_csv(f: SampledFunction) -> str:

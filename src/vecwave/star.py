@@ -102,7 +102,9 @@ def star(f: VectorSampledFunction, g: VectorSampledFunction) -> MatrixM:
     """Pairing matrix with entry (i, j) = quadrature of f_i * g_j.
 
     Supports may differ; the product is integrated over the window overlap.
-    Satisfies star(f, g) = star(g, f)^T.
+    Satisfies star(f, g) = star(g, f)^T.  The product is a BLAS ``@``, whose
+    rounding may follow the thread count; no ``vecwave`` report reads it,
+    since ``verify`` pairs atoms by their tap expansions.
     """
     _check_compatible(f, g)
     lo = [max(a, b) for a, b in zip(f.start, g.start)]

@@ -7,6 +7,7 @@ from vecwave.basis1d import (
     MatrixFilter,
     Multiwavelet,
     build_vector_basis,
+    expand_factor,
     from_multiwavelet,
     matrix_refinement_filter,
     refine_residual,
@@ -14,15 +15,19 @@ from vecwave.basis1d import (
     translate_gram_deviation,
 )
 from vecwave.basisnd import build_basis_nd, make_atom, sample_vector_atom_nd
-from vecwave.errors import NotOrthonormalError, ResolutionError
+from vecwave.errors import NotOrthonormalError, ResolutionError, SizeGuardError
 from vecwave.scalar import (
     ScalarFilter,
+    _dot,
     filter_by_name,
     haar_filter,
     quad_inner,
     scaled_atom_sample,
 )
 from vecwave.star import star
+
+
+BUILTIN_NAMES = ["haar"] + [f"db{N}" for N in range(1, 11)]
 
 
 def catalog_atom_1d(basis, which, k, J):
@@ -252,6 +257,73 @@ def test_matrix_filter_rows_match_composition_oracle():
     assert_array_equal(mf.taps[:, :, 1:], np.zeros_like(mf.taps[:, :, 1:]))
 
 
+# The composition loop that expand_factor replaced, kept as a bitwise
+# reference for the refinement taps.
+def _loop_matrix_refinement_filter(basis):
+    filt, m = basis.filter, basis.m
+
+    def compose_step(c, c_start):
+        L = len(filt.h)
+        out = np.zeros(2 * (len(c) - 1) + L)
+        for n, cn in enumerate(c):
+            out[2 * n : 2 * n + L] += cn * filt.h
+        return out, 2 * c_start + filt.h_start
+
+    rows = []
+    for c in basis.scaling_components():
+        if c.kind == "scaling":
+            seq, start, extra = filt.h.copy(), filt.h_start, m - 1
+        else:
+            seq, start, extra = filt.g.copy(), filt.g_start, m - c.scale - 1
+        for _ in range(extra):
+            seq, start = compose_step(seq, start)
+        rows.append((seq, start))
+    lo = min(s for _, s in rows)
+    taps = np.zeros((max(s + len(q) for q, s in rows) - lo, m, m))
+    for r, (seq, start) in enumerate(rows):
+        taps[start - lo : start - lo + len(seq), r, 0] = seq
+    return taps, lo
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_matrix_filter_keeps_the_bits_of_the_composition_loop(name):
+    for m in (1, 2, 3):
+        b = build_vector_basis(filter_by_name(name), m)
+        mf = matrix_refinement_filter(b)
+        taps, start = _loop_matrix_refinement_filter(b)
+        assert mf.start == start
+        assert mf.taps.tobytes() == taps.tobytes()
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "db10"])
+def test_expand_factor_matches_the_dense_loop_bitwise(name):
+    filt = filter_by_name(name)
+    for kind in ("scaling", "wavelet"):
+        for scale in (0, 1, 3):
+            for shift in (-5, 0, 2):
+                for depth in range(kind == "wavelet", 6):
+                    seq, start = expand_factor(filt, kind, scale, shift, scale + depth)
+                    want, want_start = dense_expansion(filt, kind, scale, shift, scale + depth)
+                    assert start == want_start
+                    assert seq.tobytes() == want.tobytes()
+                    assert not seq.flags.writeable
+
+
+def test_expand_factor_guards():
+    filt = filter_by_name("db2")
+    with pytest.raises(ValueError):
+        expand_factor(filt, "psi", 0, 0, 2)
+    with pytest.raises(ResolutionError):
+        expand_factor(filt, "wavelet", 2, 0, 2)
+    with pytest.raises(ResolutionError):
+        expand_factor(filt, "scaling", 2, 0, 1)
+    # a depth whose coefficients pass MAX_TABLE_SAMPLES stops before it is built
+    with pytest.raises(SizeGuardError):
+        expand_factor(filt, "scaling", 0, 0, 60)
+    assert expand_factor(filt, "scaling", 3, 7, 3)[0].tolist() == [1.0]
+    assert expand_factor(filt, "scaling", 3, 7, 3)[1] == 7
+
+
 def test_refine_residual_haar():
     b = build_vector_basis(haar_filter(), 2)
     mf = matrix_refinement_filter(b)
@@ -431,6 +503,16 @@ def test_round_trip_haar():
         assert_array_equal(fa.values, fb.values)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_round_trip_every_builtin_filter(name):
+    # the translate Gram comes from the taps, so no quadrature floor (6.6e-4
+    # for db2 at J = 8) stands between an orthonormal filter and tol = 1e-10
+    for m in (1, 2, 3):
+        b = build_vector_basis(filter_by_name(name), m)
+        rt = from_multiwavelet(to_multiwavelet(b))
+        assert rt.filter is b.filter and rt.m == b.m
+
+
 def test_from_multiwavelet_count_mismatch():
     f = haar_filter()
     mw = Multiwavelet(
@@ -482,24 +564,45 @@ def test_generator_cross_scale_orthogonality():
             assert abs(quad_inner(samples[i], samples[j])) <= 1e-12
 
 
-# The per-pair loop form that the Gram table replaced, kept verbatim as a
-# bitwise reference.
+_DENSE = {}
+
+
+def dense_expansion(filt, kind, scale, shift, level):
+    """Plain-loop oracle of ``expand_factor``: the factor's coefficients over
+    phi_{level, n}, one composition per level from its own shift, in Python
+    floats."""
+    key = (filt.name, filt.h.tobytes(), kind, scale, shift, level)
+    if key not in _DENSE:
+        h = filt.h.tolist()
+        if kind == "scaling":
+            seq, start, steps = [1.0], shift, level - scale
+        else:
+            seq, start, steps = filt.g.tolist(), 2 * shift + filt.g_start, level - scale - 1
+        for _ in range(steps):
+            out = [0.0] * (2 * (len(seq) - 1) + len(h))
+            for n, cn in enumerate(seq):
+                for i, hi in enumerate(h):
+                    out[2 * n + i] += cn * hi
+            seq, start = out, 2 * start + filt.h_start
+        _DENSE[key] = (np.array(seq), start)
+    return _DENSE[key]
+
+
+def tap_inner(filt, key_a, key_b):
+    """Inner product of two factor keys from their dense expansions at the
+    coarsest level both reach, summed by the package's fixed-order dot."""
+    level = max(scale + (kind == "wavelet") for kind, scale, _ in (key_a, key_b))
+    (ca, sa), (cb, sb) = (dense_expansion(filt, *key, level) for key in (key_a, key_b))
+    lo, hi = max(sa, sb), min(sa + len(ca), sb + len(cb))
+    return _dot(ca[lo - sa : hi - sa], cb[lo - sb : hi - sb]) if lo < hi else 0.0
+
+
+# The per-pair loop form that the Gram table replaced, kept as a bitwise
+# reference; each pair is measured from dense tap expansions.
 def _loop_translate_gram_deviation(mw, J=8, k_range=2):
     if J < 1:
         raise ValueError(f"need a resolution margin J >= 1, got {J}")
-    filt = mw.filter
     comps = tuple(mw.scaling) + tuple(mw.wavelets)
-    samples = {}
-
-    def sampled(slot, k, grid):
-        key = (slot, k, grid)
-        if key not in samples:
-            comp = comps[slot]
-            samples[key] = scaled_atom_sample(
-                filt, comp.kind, comp.scale, k * 2**comp.scale, grid
-            )
-        return samples[key]
-
     labels = [
         (slot, k)
         for slot in range(len(comps))
@@ -509,8 +612,10 @@ def _loop_translate_gram_deviation(mw, J=8, k_range=2):
     for a_idx in range(len(labels)):
         for b_idx in range(a_idx, len(labels)):
             (sa, ka), (sb, kb) = labels[a_idx], labels[b_idx]
-            grid = max(comps[sa].scale, comps[sb].scale) + J
-            v = quad_inner(sampled(sa, ka, grid), sampled(sb, kb, grid))
+            ca, cb = comps[sa], comps[sb]
+            v = tap_inner(
+                mw.filter, (ca.kind, ca.scale, ka * 2**ca.scale), (cb.kind, cb.scale, kb * 2**cb.scale)
+            )
             want = 1.0 if labels[a_idx] == labels[b_idx] else 0.0
             worst = max(worst, abs(v - want))
     return worst

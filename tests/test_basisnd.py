@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 import vecwave
 from vecwave import basis1d, basisnd
+from vecwave.basis1d import Component, expand_factor
 from vecwave.basisnd import (
     FactorInnerCache,
     Partition,
@@ -27,15 +28,11 @@ from vecwave.basisnd import (
     star_nd_separable,
 )
 from vecwave.errors import ResolutionError, SizeGuardError
-from vecwave.scalar import (
-    filter_by_name,
-    haar_filter,
-    quad_inner,
-    scaled_atom_sample,
-    support_start,
-)
+from vecwave.scalar import _dot, filter_by_name, haar_filter
 from vecwave.star import star
 from vecwave.tensor import MAX_ENUM_M, MAX_SWEEP_ROWS, factor_component
+
+from test_basis1d import dense_expansion, tap_inner
 
 from itertools import product
 from math import comb
@@ -227,13 +224,13 @@ def test_catalog_atom_census():
 
 
 def test_db2_catalog_star_small():
-    # Smooth filters carry quadrature error; the catalog deviation is
-    # small at J=10 and shrinks with refinement.
+    # The Gram comes from the filter taps, so the catalog deviation is at
+    # rounding level and does not depend on J at all.
     b = build_basis_nd(filter_by_name("db2"), 2, 2)
     d8 = catalog_star_deviation(b, 0, 1, 8)
     d10 = catalog_star_deviation(b, 0, 1, 10)
-    assert d10 < d8
-    assert d10 <= 2e-3
+    assert d8.hex() == d10.hex()
+    assert d10 <= 1e-13
 
 
 def test_manifest_golden():
@@ -254,33 +251,23 @@ def test_manifest_m1():
 
 
 # ---------------------------------------------------------------------------
-# The per-pair loop forms that the Gram-table sweep replaced, kept verbatim as
-# bitwise references, with the pair cache they read through.
+# The per-pair loop forms that the Gram-table sweep replaced, kept as bitwise
+# references, with the pair cache they read through; each pair is measured
+# from dense tap expansions.
 
 
 class _LoopInnerCache:
     def __init__(self, filt, J):
         self.filt = filt
         self.J = J
-        self._samples = {}
         self._inners = {}
-
-    def _sample(self, key, grid):
-        skey = key + (grid,)
-        if skey not in self._samples:
-            kind, scale, k = key
-            self._samples[skey] = scaled_atom_sample(self.filt, kind, scale, k, grid)
-        return self._samples[skey]
 
     def inner(self, key_a, key_b):
         if key_b < key_a:
             key_a, key_b = key_b, key_a
         pair = (key_a, key_b)
         if pair not in self._inners:
-            grid = max(key_a[1], key_b[1]) + self.J
-            self._inners[pair] = quad_inner(
-                self._sample(key_a, grid), self._sample(key_b, grid)
-            )
+            self._inners[pair] = tap_inner(self.filt, key_a, key_b)
         return self._inners[pair]
 
 
@@ -357,6 +344,19 @@ def test_catalog_sweep_matches_loop_bitwise(case):
     assert got.hex() == _loop_catalog_star_deviation(b, max_level, k_range, J).hex()
 
 
+def _overlapping_tags(filt, keys):
+    """Distinct (kind_a, scale_a, kind_b, scale_b, offset) of the key pairs
+    whose dense expansions overlap."""
+    tags = set()
+    for p, key_a in enumerate(keys):
+        for key_b in keys[p:]:
+            level = max(scale + (kind == "wavelet") for kind, scale, _ in (key_a, key_b))
+            (ca, sa), (cb, sb) = (dense_expansion(filt, *key, level) for key in (key_a, key_b))
+            if max(sa, sb) < min(sa + len(ca), sb + len(cb)):
+                tags.add((*key_a[:2], *key_b[:2], sb - sa))
+    return len(tags)
+
+
 def _loop_gram(keys, J, filt):
     ref = _LoopInnerCache(filt, J)
     return np.array([[ref.inner(a, b) for b in keys] for a in keys])
@@ -369,12 +369,13 @@ def test_gram_reuses_one_quadrature_per_offset_bitwise(name, m, monkeypatch):
     mw = _basis(name, 1, m).mw
     comps = tuple(mw.scaling) + tuple(mw.wavelets)
     translate = [(c.kind, c.scale, k * 2**c.scale) for c in comps for k in range(-2, 3)]
-    quads = []
-    monkeypatch.setattr(basis1d, "quad_inner", lambda f, g: quads.append(0) or quad_inner(f, g))
+    dots = []
+    monkeypatch.setattr(basis1d, "_dot", lambda a, b: dots.append(0) or _dot(a, b))
     gram = FactorInnerCache(mw.filter, J).gram(translate)
     assert gram.tobytes() == _loop_gram(translate, J, mw.filter).tobytes()
-    # one quadrature per (kind, scale) pair and offset, not one per key pair
-    assert len(quads) == {1: 19, 2: 74, 3: 165}[m]
+    # one dot per (kind, scale) pair and overlapping offset, not one per key pair
+    assert len(dots) == _overlapping_tags(mw.filter, translate)
+    assert len(dots) == {"haar": (3, 10, 21), "db2": (6, 21, 40), "db10": (11, 56, 118)}[name][m - 1]
     for d in (1, 2):
         b = _basis(name, d, m)
         keys, _ = basisnd._row_keys(catalog_atoms(b, 1, 1), b.mw)
@@ -384,10 +385,11 @@ def test_gram_reuses_one_quadrature_per_offset_bitwise(name, m, monkeypatch):
 
 def test_gram_keeps_repeated_keys_and_kinds_apart():
     filt, J = filter_by_name("db2"), 8
-    # at one scale, this wavelet key's samples start where the scaling key's do
-    shift = support_start(filt, "scaling") - support_start(filt, "wavelet")
+    # at level 2, this wavelet key's expansion starts where the scaling
+    # key's does: phi_{1,0} starts at h_start, psi_{1,k} at 2k + g_start
+    shift = (filt.h_start - filt.g_start) // 2
     phi, psi = ("scaling", 1, 0), ("wavelet", 1, shift)
-    assert scaled_atom_sample(filt, *phi, 1 + J).start == scaled_atom_sample(filt, *psi, 1 + J).start
+    assert expand_factor(filt, *phi, 2)[1] == expand_factor(filt, *psi, 2)[1]
     keys = [phi, psi, phi, ("scaling", 1, 1), psi]
     gram = FactorInnerCache(filt, J).gram(keys)
     assert gram.shape == (5, 5)
@@ -395,7 +397,7 @@ def test_gram_keeps_repeated_keys_and_kinds_apart():
     assert gram[0].tobytes() == gram[2].tobytes()
     assert gram[1].tobytes() == gram[4].tobytes()
     # the scaling-wavelet pair at offset 0 is not read as the scaling pair
-    assert abs(gram[0, 0] - 1.0) < 1e-3 and abs(gram[0, 1]) < 1e-3
+    assert abs(gram[0, 0] - 1.0) < 1e-15 and abs(gram[0, 1]) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -438,14 +440,14 @@ def test_sweep_block_size_does_not_change_bits(monkeypatch):
 def _tables_after(form, name, d, m, max_level, k_range, J):
     """The cached cascade-table (function, level) pairs and the
     scaled-sample cache keys of a fresh process after one sweep in the
-    given form."""
+    given form ("loop" or "array"; any other builds the basis alone)."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import test_basisnd as t\n"
         "from vecwave import scalar\n"
         f"b = t._basis({name!r}, {d}, {m})\n"
-        f"fn = t.{'_loop_catalog_star_deviation' if form == 'loop' else 'catalog_star_deviation'}\n"
+        f"fn = {dict(loop='t._loop_catalog_star_deviation', array='t.catalog_star_deviation').get(form, 'lambda *args: None')}\n"
         f"fn(b, {max_level}, {k_range}, {J})\n"
         "tables = [(w, level) for (_, w), (level, _) in scalar._table_cache.items()]\n"
         "print(json.dumps([sorted(tables), sorted(map(repr, scalar._scaled_cache))]))\n"
@@ -465,10 +467,11 @@ def _tables_after(form, name, d, m, max_level, k_range, J):
     "case", [("haar", 2, 3, 1, 1, 10), ("db4", 2, 2, 1, 1, 8), ("db10", 1, 3, 1, 1, 8)]
 )
 def test_sweep_builds_the_loops_tables(case):
-    # The Gram table measures the same pairs on the same grids as the loop,
-    # so a cold sweep builds no cascade table the loop did not.
+    # The Gram table and the loop both pair factors by their tap
+    # expansions, so a cold sweep adds no cascade table and no sample to
+    # those the basis's own refinement check (level m) built.
     tables = _tables_after("array", *case)
-    assert tables[0]
+    assert tables == _tables_after("build", *case)
     assert tables == _tables_after("loop", *case)
 
 
@@ -508,3 +511,45 @@ def test_empty_catalog_sweep_is_zero():
     assert _loop_catalog_star_deviation(b, 1, -1, 8) == 0.0
     with pytest.raises(ValueError):
         catalog_star_deviation(b, 1, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(1, 11)])
+def test_tap_gram_is_orthonormal_to_rounding(name):
+    # run_verify's catalog (levels <= 1, |k| <= 1) and translate sweeps at
+    # every d <= 3, m <= 3, all inside the sweep guard
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            b = _basis(name, d, m)
+            assert catalog_star_deviation(b, 1, 1, 10) <= 1e-13, (d, m)
+            assert basis1d.translate_gram_deviation(b.mw, J=10) <= 1e-13, (d, m)
+
+
+@pytest.mark.parametrize("shift", ["scale", "translate"])
+def test_gram_nd_catches_one_shifted_factor_key(shift, monkeypatch):
+    # One factor key moved by one scale (level-1 wavelet rung 1 onto rung 2)
+    # or one translate (the last key onto its left neighbour) aliases
+    # another atom row, which the star sweep must see: the exact profile's
+    # 1e-10 and the sampled profile's 1e-3 both fail.
+    b = _basis("db4", 2, 2)
+    assert catalog_star_deviation(b, 1, 1, 10) <= 1e-13
+    if shift == "scale":
+        real = basisnd.factor_component
+
+        def moved(mw, eps_i, alpha_i, j):
+            comp = real(mw, eps_i, alpha_i, j)
+            if (eps_i, alpha_i, j) == (1, 1, 1):
+                return Component(comp.kind, comp.scale + 1)
+            return comp
+
+        monkeypatch.setattr(basisnd, "factor_component", moved)
+    else:
+        real = basisnd._row_keys
+
+        def moved(atoms, mw):
+            keys, idx = real(atoms, mw)
+            kind, scale, k = keys[-1]
+            keys[-1] = (kind, scale, k - 1)
+            return keys, idx
+
+        monkeypatch.setattr(basisnd, "_row_keys", moved)
+    assert catalog_star_deviation(b, 1, 1, 10) > 1e-3

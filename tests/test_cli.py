@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vecwave
+from vecwave import cli
 from vecwave import (
     VectorSignal,
     analyze_vector,
@@ -93,14 +94,19 @@ def test_verify_report_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_db2_exact_fails_sampled_passes(tmp_path, capsys):
+def test_verify_db2_exact_fails_sampled_passes(tmp_path, capsys, monkeypatch):
+    # The Gram rows come from the filter taps, so db2 passes even the exact
+    # profile. A Gram defect the size of the old db2 quadrature floor at
+    # J = 10 (5.1e-5) fails exact and fits inside sampled.
     manifest = build_manifest(tmp_path, name="db2")
     report = tmp_path / "report.csv"
+    assert main(["verify", "--manifest", str(manifest), "--report", str(report)]) == 0
+    assert ",fail" not in report.read_text()
+    monkeypatch.setattr(cli, "translate_gram_deviation", lambda mw, J, k_range: 5.1e-5)
     rc = main(["verify", "--manifest", str(manifest), "--report", str(report)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
-    assert ",fail" in report.read_text()
-    # quadrature error fits inside the sampled profile at the default J
+    assert "gram-1d,5.1e-05,1e-10,fail" in report.read_text()
     assert main(["verify", "--manifest", str(manifest), "--profile", "sampled"]) == 0
 
 
@@ -630,3 +636,44 @@ def test_usage_exit_codes(capsys):
     assert main(["build"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _run_python(args, **env):
+    src = str(Path(vecwave.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+
+
+def test_verify_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # db10 d=1 m=3 wrote other gram and vanishing-moments bytes under one
+    # and two OpenBLAS threads while np.dot summed them
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two cores to run two BLAS threads")
+    manifest = build_manifest(tmp_path, name="db10", d=1, m=3)
+    reports = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"report-{threads}.csv"
+        _run_python(
+            ["-m", "vecwave.cli", "verify", "--manifest", str(manifest), "--profile", "sampled",
+             "--j", "10", "--report", str(report)],
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cold_verify_builds_no_table_finer_than_j():
+    # the Gram rows read no cascade table, so the deepest is the level-J
+    # sampling of refinement-residual and vanishing-moments
+    code = (
+        "from vecwave import scalar\n"
+        "from vecwave.basisnd import build_basis_nd\n"
+        "from vecwave.cli import run_verify\n"
+        "run_verify(build_basis_nd(scalar.filter_by_name('db10'), 1, 3), 10, 'sampled')\n"
+        "print(max(level for level, _ in scalar._table_cache.values()))\n"
+    )
+    assert _run_python(["-c", code]).stdout.strip() == "10"

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from vecwave import scalar
 from vecwave.errors import FileFormatError, ResolutionError, SizeGuardError
 from vecwave.scalar import (
+    _dot,
     ScalarFilter,
     daubechies_filter,
     filter_by_name,
@@ -192,7 +193,7 @@ def test_moments_match_an_exact_sum_of_the_samples(name):
 def test_low_moments_keep_the_bits_of_pow(name):
     # the elementwise pow that moment used before its product ladder
     def pow_moment(f, p):
-        return float(np.dot(f.grid() ** p, f.values)) * f.step
+        return _dot(f.grid() ** p, f.values) * f.step
 
     filt = filter_by_name(name)
     for J in (6, 8, 10, 12):
@@ -210,6 +211,28 @@ def test_zeroth_moment_keeps_the_bits_of_fsum_over_the_array(name):
             f = refine_sample(filt, which, J)
             want = math.fsum(f.values) * f.step
             assert moment(f, 0).hex() == want.hex(), (J, which)
+
+
+def test_dot_is_the_sum_of_the_rounded_products_to_one_rounding():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 8, 129, 20000):
+        # terms near 2**30 that cancel in pairs, leaving a sum near sqrt(n)
+        big = rng.standard_normal(n) * 2.0**30
+        a = rng.permutation(np.concatenate([big, rng.standard_normal(n) - big]))
+        b = np.ones(2 * n)
+        products = a * b
+        exact = math.fsum(products.tolist())
+        # one rounding, plus the pairwise sum of remainders below 2**-53 sigma
+        # with sigma < 4 (2n + 2) max|p|
+        bound = math.ulp(exact) + (2 * n) * (2 * n + 2) * 2.0**-100 * np.max(np.abs(products))
+        assert abs(_dot(a, b) - exact) <= bound, n
+        # a plain float sum of the same products misses by far more
+        assert n < 100 or abs(float(np.sum(products)) - exact) > 1e3 * bound
+    assert _dot(np.zeros(0), np.zeros(0)) == 0.0
+    assert _dot(np.zeros(3), np.ones(3)) == 0.0
+    # past the range where sigma is a normal float, the plain pairwise sum
+    huge = np.array([2.0**1000, -(2.0**1000), 1.0])
+    assert _dot(huge, np.ones(3)) == 1.0
 
 
 def test_moment_order_guard():

@@ -30,8 +30,10 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.basis1d import expand_factor
 from vecwave.basisnd import FamilyND
 from vecwave.scalar import ScalarFilter
+from vecwave.tensor import factor_component
 from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step, _unpack_bands
 
 HAAR = filter_by_name("haar")
@@ -909,3 +911,48 @@ def test_bands_are_star_products_with_catalog_atoms_haar(d, m, levels):
         assert decomposition_to_bytes(analyze_vector(VectorSignal(x), build_vector_basis(HAAR, m), levels)) == (
             decomposition_to_bytes(dec)
         )
+
+
+def _catalog_band_taps(x: np.ndarray, basis, band, depth: int) -> np.ndarray:
+    """What `band.values` must hold, from the taps: the signal holds the
+    coefficients over phi_{depth, p}, so entry (r, rho, k...) is the dot of
+    x_r with the periodized `expand_factor` coefficients of row rho's
+    factors at translate k, one factor per axis."""
+    (fam,) = [f for fams in basis.families for f in fams if (f.eps, f.block) == (band.eps, band.block)]
+    m, n = x.shape[0], x.shape[1]
+    sizes = band.values.shape[2:]
+    want = np.empty(band.values.shape)
+    for rho, row in enumerate(fam.rows):
+        y = x
+        for i, size in enumerate(sizes):
+            comp = factor_component(basis.mw, fam.eps[i], row[i], max(band.level, 0))
+            table = np.zeros((size, n))
+            for k in range(size):
+                coeffs, start = expand_factor(basis.mw.filter, comp.kind, comp.scale, k, depth)
+                table[k] = np.bincount(np.arange(start, start + len(coeffs)) % n, weights=coeffs, minlength=n)
+            # contracts the first remaining signal axis and appends the translate axis
+            y = np.tensordot(y, table, axes=([1], [1]))
+        want[:, rho] = y
+    # slots past a column's length are structural zeros
+    for rho in range(m):
+        valid = (slice(None), rho) + tuple(slice(0, length) for length in band.col_lengths(rho))
+        column = want[valid].copy()
+        want[:, rho] = 0.0
+        want[valid] = column
+    return want
+
+
+@pytest.mark.parametrize(
+    "name, d, m, levels",
+    [(name, d, m, levels) for name in ("haar", "db2", "db4") for d in (1, 2) for m in (1, 2, 3) for levels in (0, 1, 2)]
+    + [("db2", 3, 2, 1), ("db4", 3, 3, 0)],
+)
+def test_bands_are_star_products_with_catalog_atoms_db(name, d, m, levels):
+    depth = m * levels + m - 1
+    n = 2 ** max(depth, 5)
+    basis = build_basis_nd(filter_by_name(name), d, m)
+    x = np.random.default_rng(13).standard_normal((m,) + (n,) * d)
+    dec = analyze_vector(VectorSignal(x), basis, levels)
+    for band in dec.bands:
+        want = _catalog_band_taps(x, basis, band, depth)
+        assert np.max(np.abs(band.values - want)) <= 1e-12 * np.max(np.abs(want)), band.key
