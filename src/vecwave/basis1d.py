@@ -258,6 +258,11 @@ def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
     )
 
 
+# translates of a factor key: a start moves by up to 2**26 per unit shift
+# (the deepest expansion's), so starts and their differences fit an int64
+_MAX_SHIFT = 2**35
+
+
 class FactorInnerCache:
     """Inner products of 1D scalar factors from their tap expansions.
 
@@ -285,24 +290,70 @@ class FactorInnerCache:
         Two pairs that differ by a common translate dot the same coefficient
         arrays at the same offsets, so one dot per ``(kind_a, scale_a,
         kind_b, scale_b, start_b - start_a)`` serves them all with the same
-        bits.
+        bits.  The tags of all key pairs are formed by array arithmetic,
+        each distinct tag is dotted once, and the dots of one overlap length
+        go to ``_dot`` as one stack.  Translates must lie within
+        ``+-2**35``, so that every expansion start fits an int64.
         """
         n = len(keys)
-        out = np.empty((n, n))
+        if any(abs(key[2]) > _MAX_SHIFT for key in keys):
+            raise SizeGuardError(f"factor translates must lie within +-2**35, got {max(abs(key[2]) for key in keys)}")
+        descs = list(dict.fromkeys(key[:2] for key in keys))
+        nd = len(descs)
+        slot = {desc: i for i, desc in enumerate(descs)}
+        desc = np.array([slot[key[:2]] for key in keys], dtype=np.int64)
+        shift = np.array([key[2] for key in keys], dtype=np.int64)
+        p, q = np.triu_indices(n)
+        pair = desc[p] * nd + desc[q]
+        # per descriptor pair that some key pair reaches, and per side: the
+        # expansion at the pair's level, its start at shift 0, how far one
+        # unit of shift moves that start, and its length
+        used = np.zeros(nd * nd, dtype=bool)
+        used[pair] = True
+        start0, step, size = (np.zeros((nd * nd, 2), dtype=np.int64) for _ in range(3))
+        seqs = {}
+        # an expansion at shift 0 depends on its kind and depth alone
         expansions = {}
-        for p, key_a in enumerate(keys):
-            for q in range(p, n):
-                key_b = keys[q]
-                level = max(key_a[1] + (key_a[0] == "wavelet"), key_b[1] + (key_b[0] == "wavelet"))
-                for key in (key_a, key_b):
-                    if (key, level) not in expansions:
-                        expansions[key, level] = expand_factor(self.filt, *key, level)
-                (ca, sa), (cb, sb) = expansions[key_a, level], expansions[key_b, level]
-                tag = (key_a[0], key_a[1], key_b[0], key_b[1], sb - sa)
-                if tag not in self._dots:
-                    lo, hi = max(sa, sb), min(sa + len(ca), sb + len(cb))
-                    self._dots[tag] = _dot(ca[lo - sa : hi - sa], cb[lo - sb : hi - sb]) if lo < hi else 0.0
-                out[p, q] = out[q, p] = self._dots[tag]
+        for ab in np.flatnonzero(used).tolist():
+            sides = descs[ab // nd], descs[ab % nd]
+            level = max(scale + (kind == "wavelet") for kind, scale in sides)
+            seqs[ab] = []
+            for s, (kind, scale) in enumerate(sides):
+                if (kind, level - scale) not in expansions:
+                    expansions[kind, level - scale] = expand_factor(self.filt, kind, scale, 0, level)
+                seq, start0[ab, s] = expansions[kind, level - scale]
+                step[ab, s], size[ab, s] = 2 ** (level - scale), len(seq)
+                seqs[ab].append(seq)
+        offset = (start0[pair, 1] + shift[q] * step[pair, 1]) - (start0[pair, 0] + shift[p] * step[pair, 0])
+        # only pairs whose expansions overlap need a dot; the rest stay +0.0
+        hit = (offset < size[pair, 0]) & (-offset < size[pair, 1])
+        p, q, pair, offset = p[hit], q[hit], pair[hit], offset[hit]
+        # the tag as one int64: descriptor pair, then offset within +-reach
+        reach = int(size.max(initial=0))
+        codes = pair * (2 * reach + 1) + (offset + reach)
+        # grouped by a dict, in order of first appearance: np.unique would
+        # import numpy.ma, about 1.5 MiB more peak memory in a cold CLI run
+        tags = {}
+        inverse = np.array([tags.setdefault(c, len(tags)) for c in codes.tolist()], dtype=np.intp)
+        values = np.empty(len(tags))
+        todo = {}
+        for t, code in enumerate(tags):
+            ab, off = divmod(code, 2 * reach + 1)
+            off -= reach
+            tag = (*descs[ab // nd], *descs[ab % nd], off)
+            if tag in self._dots:
+                values[t] = self._dots[tag]
+                continue
+            ca, cb = seqs[ab]
+            lo, hi = max(0, off), min(len(ca), off + len(cb))
+            todo.setdefault(hi - lo, []).append((t, tag, ca[lo:hi], cb[lo - off : hi - off]))
+        for rows in todo.values():
+            t, tag, ra, rb = zip(*rows)
+            got = _dot(np.array(ra), np.array(rb))
+            values[list(t)] = got
+            self._dots.update(zip(tag, got.tolist()))
+        out = np.zeros((n, n))
+        out[p, q] = out[q, p] = values[inverse]
         return out
 
 

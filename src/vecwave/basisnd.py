@@ -4,6 +4,21 @@ Stacking m separable scalar atoms per vector atom requires splitting
 {1..m}^d into m^(d-1) blocks of m distinct index tuples.  Any valid
 partition yields star-orthonormal families; the cyclic Latin-square
 partition is the deterministic default.
+
+Star orthonormality over the catalog (``catalog_star_deviation``) is
+checked without forming the (N m) x (N m) star matrix.  Entry (p, q) is
+the product, in coordinate order, of the Gram entries of the two rows'
+1-D factor keys.  The rows fall into blocks, one per (family, level, row),
+each over every translate k, so coordinate i of a block holds one
+(kind, scale) descriptor, and the row pairs of two blocks form a product
+set of per-coordinate key pairs (a Kronecker structure: Van Loan, "The
+ubiquitous Kronecker product", *J. Comput. Appl. Math.* 123, 2000).
+Round-to-nearest is monotone and fl(|x| |y|) = |fl(x y)| (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, sections
+2.1-2.2), so the largest |entry| over a product set is the product of
+the per-coordinate largest |G|, with the same bits.  Distinct rows of one
+block differ in some coordinate i0, so their pairs are a union of product
+sets, one per i0; and the diagonal S_pp - 1 is taken row by row.
 """
 
 from __future__ import annotations
@@ -320,8 +335,38 @@ def catalog_rows(d: int, m: int, max_level: int, k_range: int) -> int:
     return families * max(2 * k_range + 1, 0) ** d * m
 
 
-# The sweep holds about two blocks of this many bytes at a time.
-_SWEEP_BLOCK_BYTES = 1 << 20
+def check_sweep_size(d: int, m: int, max_level: int, k_range: int) -> None:
+    """Refuse a catalog of more than MAX_SWEEP_ROWS atom rows."""
+    n = catalog_rows(d, m, max_level, k_range)
+    if n > MAX_SWEEP_ROWS:
+        raise SizeGuardError(f"gram sweep guard is {MAX_SWEEP_ROWS} atom rows, got {n}")
+
+
+def _catalog_blocks(basis: BasisND, max_level: int) -> tuple:
+    """The catalog's rows in blocks, one per (family, level, row).
+
+    A block's rows are that row over every translate k, so coordinate i of
+    all of them holds one (kind, scale) descriptor.  Returns ``(descs,
+    blocks)``: ``descs`` lists the sorted distinct descriptors, and
+    ``descs[blocks[b, i]]`` is the one on coordinate i of block b.
+    """
+    levels = [(fam, 0) for fam in basis.scaling_families()] + [
+        (fam, j) for fam in basis.wavelet_families() for j in range(max_level + 1)
+    ]
+    rows = [
+        [tuple(factor_component(basis.mw, e, a, j)) for e, a in zip(fam.eps, row)]
+        for fam, j in levels
+        for row in fam.rows
+    ]
+    descs = sorted({desc for row in rows for desc in row})
+    pos = {desc: n for n, desc in enumerate(descs)}
+    return descs, np.array([[pos[desc] for desc in row] for row in rows], dtype=np.intp)
+
+
+def _translate_keys(descs: list, k_range: int) -> list:
+    """The factor keys (kind, scale, k) of every descriptor at every translate
+    |k| <= k_range, descriptor-major."""
+    return [(*desc, k) for desc in descs for k in range(-k_range, k_range + 1)]
 
 
 def catalog_star_deviation(
@@ -330,24 +375,56 @@ def catalog_star_deviation(
     """Largest deviation of pairwise star products from delta * identity.
 
     Distinct atoms must pair to the zero matrix, each atom to identity.
-    The (N m) x (N m) star matrix is gathered in blocks of rows from one
-    Gram matrix of the catalog's distinct factor keys, taken from the
-    filter taps (see FactorInnerCache), so the result does not depend on J,
-    which must still be >= 1.
+    The Gram entries come from the filter taps (see FactorInnerCache), so
+    the result does not depend on J, which must still be >= 1.  It equals,
+    bit for bit, the largest |S_pq - delta_pq| over all row pairs, taken
+    over product blocks as the module docstring explains: one Gram over
+    the keys (descriptor, k) gives ``top[a, b]``, the largest |G| over all
+    (k, k'); ``top_off[a]``, the largest over k != k'; and G at k = k'.
+    Pairs of distinct blocks take ``top`` on every coordinate; distinct
+    rows of one block take ``top_off`` on one coordinate i0 and ``top`` on
+    the others; and |S_pp - 1| is taken at every translate of every block.
     """
-    n = catalog_rows(basis.d, basis.m, max_level, k_range)
-    if n > MAX_SWEEP_ROWS:
-        raise SizeGuardError(f"gram sweep guard is {MAX_SWEEP_ROWS} atom rows, got {n}")
-    keys, idx = _row_keys(catalog_atoms(basis, max_level, k_range), basis.mw)
-    gram = FactorInnerCache(basis.mw.filter, J).gram(keys)
-    step = max(1, _SWEEP_BLOCK_BYTES // (8 * max(n, 1)))
+    check_sweep_size(basis.d, basis.m, max_level, k_range)
+    cache = FactorInnerCache(basis.mw.filter, J)
+    if catalog_rows(basis.d, basis.m, max_level, k_range) == 0:
+        return 0.0
+    descs, blocks = _catalog_blocks(basis, max_level)
+    nd, t = len(descs), 2 * k_range + 1
+    gram = cache.gram(_translate_keys(descs, k_range))
+    mag = np.abs(gram).reshape(nd, t, nd, t)
+    top = mag.max(axis=(1, 3))
+    own = mag[np.arange(nd), :, np.arange(nd), :]
+    own[:, np.arange(t), np.arange(t)] = 0.0
+    top_off = own.max(axis=(1, 2))
+    diag = gram.diagonal().reshape(nd, t)
+
+    # The products run in coordinate order over |G| >= 0.  The dense form
+    # stopped a product at its first zero; with finite entries that only set
+    # the sign of a zero, which |.| drops.
+    # rows p != q in distinct blocks, at most MAX_SWEEP_ROWS products at a time
+    nb = len(blocks)
+    step = max(1, MAX_SWEEP_ROWS // nb)
     worst = 0.0
-    # The star matrix is symmetric, so each block starts at its diagonal.
-    for lo in range(0, n, step):
-        block = _star_product(gram, idx[:, lo : lo + step], idx[:, lo:])
-        np.fill_diagonal(block, block.diagonal() - 1.0)
-        worst = max(worst, float(np.max(np.abs(block, out=block))))
-    return worst
+    for lo in range(0, nb, step):
+        rows = blocks[lo : lo + step]
+        prod = top[rows[:, 0, None], blocks[None, :, 0]]
+        for i in range(1, basis.d):
+            prod *= top[rows[:, i, None], blocks[None, :, i]]
+        prod[np.arange(len(rows)), np.arange(lo, lo + len(rows))] = 0.0
+        worst = max(worst, float(prod.max()))
+    # rows p != q of one block: k_i0 != k'_i0 for some i0
+    for i0 in range(basis.d):
+        factors = np.where(np.arange(basis.d) == i0, top_off[blocks], top[blocks, blocks])
+        prod = factors[:, 0]
+        for i in range(1, basis.d):
+            prod = prod * factors[:, i]
+        worst = max(worst, float(prod.max()))
+    # S_pp - 1 at every translate of every block
+    prod = diag[blocks[:, 0]]
+    for i in range(1, basis.d):
+        prod = (prod[:, :, None] * diag[blocks[:, i]][:, None, :]).reshape(nb, -1)
+    return max(worst, float(np.abs(prod - 1.0).max()))
 
 
 def catalog_manifest(basis: BasisND) -> str:

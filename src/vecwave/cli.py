@@ -28,10 +28,11 @@ from .basisnd import (
     build_basis_nd,
     catalog_manifest,
     catalog_star_deviation,
+    check_sweep_size,
     make_atom,
     sample_vector_atom_nd,
 )
-from .errors import FileFormatError, VecwaveError
+from .errors import DimensionError, FileFormatError, VecwaveError
 from .scalar import (
     SampledFunction,
     filter_by_name,
@@ -41,7 +42,7 @@ from .scalar import (
     scaled_atom_sample,
 )
 from .svgplot import raster_svg, step_polyline_svg
-from .tensor import MAX_ENUM_D, MAX_ENUM_M, enumerate_families
+from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, enumerate_families
 from .transform import (
     VectorSignal,
     analyze_vector,
@@ -65,6 +66,9 @@ _PROFILES = {
     "exact": {"gram": 1e-10, "refine": 1e-12, "moments": 1e-12},
     "sampled": {"gram": 1e-3, "refine": 1e-8, "moments": 1e-6},
 }
+
+# the catalog of the gram-nd row: wavelet levels <= 1, translates |k| <= 1
+_CATALOG_LEVEL, _CATALOG_K = 1, 1
 
 # integer fields are limited to 20 digits, so int() never meets a huge field
 _MANIFEST_HEAD = re.compile(
@@ -160,6 +164,13 @@ class VerifyReport:
 
 
 def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
+    # refused before any Gram sweep: a catalog too large to sweep, then a
+    # basis the transform of the reconstruction rows cannot take
+    check_sweep_size(basis.d, basis.m, _CATALOG_LEVEL, _CATALOG_K)
+    if basis.d > MAX_SAMPLE_D:
+        raise DimensionError(
+            f"verify runs the transform, which takes d <= {MAX_SAMPLE_D} space axes; got d={basis.d}"
+        )
     tol = {**_TOLERANCES, **_PROFILES[profile]}
     filt = basis.mw.filter
     d, m = basis.d, basis.m
@@ -170,7 +181,7 @@ def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
     rows.append(("filter-wavelet-sum", dev["wavelet_sum"], tol["filter"]))
     rows.append(("filter-moments", dev["moments"], tol["filter-moments"]))
     rows.append(("gram-1d", translate_gram_deviation(basis.mw, J=j, k_range=2), tol["gram"]))
-    rows.append(("gram-nd", catalog_star_deviation(basis, max_level=1, k_range=1, J=j), tol["gram"]))
+    rows.append(("gram-nd", catalog_star_deviation(basis, _CATALOG_LEVEL, _CATALOG_K, J=j), tol["gram"]))
     basis1 = build_vector_basis(filt, m)
     rows.append(("refinement-residual", refine_residual(basis1, matrix_refinement_filter(basis1), j), tol["refine"]))
     wav = scaled_atom_sample(filt, "wavelet", 0, 0, j)

@@ -393,7 +393,7 @@ def scaled_atom_sample(
     return SampledFunction(start, J, _scaled_cache[key])
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """``sum(a * b)`` with the same bits whatever the machine's thread count.
 
     ``np.dot`` hands long vectors to a threaded BLAS, whose partial sums
@@ -404,15 +404,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     Oishi, "Accurate floating-point summation part I", *SIAM J. Sci.
     Comput.* 31, 2008, ExtractVector).  Products past ``2**+-900``, where
     sigma would leave the normal range, are summed pairwise alone.
+
+    Vectors give a float.  Stacked rows (2-D ``a`` and ``b`` of one shape)
+    give an array of one result per row, each with the bits of the call on
+    that row alone: numpy sums the last axis of a contiguous array pairwise,
+    row by row.
     """
+    if np.ndim(a) == 1:
+        return float(_dot(a[None], b[None])[0])
     p = a * b
-    top = float(abs(p).max(initial=0.0))
-    if not 2.0**-900 < top < 2.0**900:
-        return float(p.sum())
-    # sigma = 2**k >= (n + 2) * max|p|
-    sigma = 2.0 ** ((len(p) + 1).bit_length() + math.frexp(top)[1])
+    top = abs(p).max(axis=1, initial=0.0)
+    ok = (2.0**-900 < top) & (top < 2.0**900)
+    if not ok.all():
+        # the plain pairwise sum, kept by the rows sigma would not suit
+        out = p.sum(axis=1)
+        if ok.any():
+            out[ok] = _dot(a[ok], b[ok])
+        return out
+    # sigma = 2**k >= (n + 2) * max|p|, one per row
+    sigma = np.ldexp(1.0, (p.shape[1] + 1).bit_length() + np.frexp(top)[1])[:, None]
     q = (sigma + p) - sigma
-    return float(q.sum()) + float((p - q).sum())
+    return q.sum(axis=1) + (p - q).sum(axis=1)
 
 
 def quad_inner(f: SampledFunction, g: SampledFunction) -> float:

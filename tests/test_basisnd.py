@@ -298,9 +298,9 @@ def _loop_star_nd_separable(atom_a, atom_b, basis, cache):
     return out
 
 
-def _loop_catalog_star_deviation(basis, max_level, k_range, J):
+def _loop_catalog_star_deviation(basis, max_level, k_range, J, inner_cache=_LoopInnerCache):
     atoms = catalog_atoms(basis, max_level, k_range)
-    cache = _LoopInnerCache(basis.mw.filter, J)
+    cache = inner_cache(basis.mw.filter, J)
     keys = [_loop_factor_keys(a, basis.mw) for a in atoms]
     m, d = basis.m, basis.d
     worst = 0.0
@@ -333,6 +333,9 @@ SWEEP_CASES = [
     ("db4", 2, 2, None, 1, 1, 8),
     ("db10", 1, 3, None, 1, 1, 10),
     ("db2", 3, 2, None, 0, 1, 8),
+    # one translate per block: no two rows of a block
+    ("db4", 2, 2, None, 1, 0, 8),
+    ("haar", 3, 2, None, 1, 0, 10),
 ]
 
 
@@ -342,6 +345,51 @@ def test_catalog_sweep_matches_loop_bitwise(case):
     b = _basis(name, d, m, seed)
     got = catalog_star_deviation(b, max_level, k_range, J)
     assert got.hex() == _loop_catalog_star_deviation(b, max_level, k_range, J).hex()
+
+
+def _mutated_caches(changes):
+    """The sweep's and the loop's inner-product caches with some Gram entries
+    replaced: ``changes`` maps a factor-key pair to its new value, both ways."""
+    both = {**changes, **{(b, a): v for (a, b), v in changes.items()}}
+
+    class Sweep(FactorInnerCache):
+        def gram(self, keys):
+            out = super().gram(keys)
+            for p, key_a in enumerate(keys):
+                for q, key_b in enumerate(keys):
+                    if (key_a, key_b) in both:
+                        out[p, q] = both[key_a, key_b]
+            return out
+
+    class Loop(_LoopInnerCache):
+        def inner(self, key_a, key_b):
+            return both.get((key_a, key_b), super().inner(key_a, key_b))
+
+    return Sweep, Loop
+
+
+@pytest.mark.parametrize("case", [("haar", 2, 2, 1, 1, 10), ("db2", 2, 3, 0, 1, 8), ("haar", 3, 1, 0, 1, 10)])
+@pytest.mark.parametrize("change", ["raised-own", "raised-cross", "lowered-diagonal"])
+def test_catalog_sweep_matches_loop_on_a_mutated_gram(case, change, monkeypatch):
+    # Each half of the product-block argument moves the result: a raised
+    # entry between two translates of one descriptor (rows of one block),
+    # a raised entry between two descriptors (rows of distinct blocks), and
+    # a lowered diagonal entry (S_pp - 1).
+    name, d, m, max_level, k_range, J = case
+    b = _basis(name, d, m)
+    descs, blocks = basisnd._catalog_blocks(b, max_level)
+    first, last = descs[blocks[0, 0]], descs[blocks[-1, 0]]
+    key = {
+        "raised-own": ((*first, 0), (*first, 1)),
+        "raised-cross": ((*first, 0), (*last, 1)),
+        "lowered-diagonal": ((*first, 0), (*first, 0)),
+    }[change]
+    value = 0.75 if change == "lowered-diagonal" else 0.25
+    sweep, loop = _mutated_caches({key: value})
+    monkeypatch.setattr(basisnd, "FactorInnerCache", sweep)
+    got = catalog_star_deviation(b, max_level, k_range, J)
+    assert got.hex() == _loop_catalog_star_deviation(b, max_level, k_range, J, loop).hex()
+    assert got >= 0.2
 
 
 def _overlapping_tags(filt, keys):
@@ -370,15 +418,17 @@ def test_gram_reuses_one_quadrature_per_offset_bitwise(name, m, monkeypatch):
     comps = tuple(mw.scaling) + tuple(mw.wavelets)
     translate = [(c.kind, c.scale, k * 2**c.scale) for c in comps for k in range(-2, 3)]
     dots = []
-    monkeypatch.setattr(basis1d, "_dot", lambda a, b: dots.append(0) or _dot(a, b))
+    # stacked rows, one overlap length per stack
+    monkeypatch.setattr(basis1d, "_dot", lambda a, b: dots.append(len(a)) or _dot(a, b))
     gram = FactorInnerCache(mw.filter, J).gram(translate)
     assert gram.tobytes() == _loop_gram(translate, J, mw.filter).tobytes()
-    # one dot per (kind, scale) pair and overlapping offset, not one per key pair
-    assert len(dots) == _overlapping_tags(mw.filter, translate)
-    assert len(dots) == {"haar": (3, 10, 21), "db2": (6, 21, 40), "db10": (11, 56, 118)}[name][m - 1]
+    # one dotted row per (kind, scale) pair and overlapping offset, not one per key pair
+    assert sum(dots) == _overlapping_tags(mw.filter, translate)
+    assert sum(dots) == {"haar": (3, 10, 21), "db2": (6, 21, 40), "db10": (11, 56, 118)}[name][m - 1]
     for d in (1, 2):
         b = _basis(name, d, m)
-        keys, _ = basisnd._row_keys(catalog_atoms(b, 1, 1), b.mw)
+        descs, _ = basisnd._catalog_blocks(b, 1)
+        keys = basisnd._translate_keys(descs, 1)
         gram = FactorInnerCache(mw.filter, J).gram(keys)
         assert gram.tobytes() == _loop_gram(keys, J, mw.filter).tobytes()
 
@@ -398,6 +448,19 @@ def test_gram_keeps_repeated_keys_and_kinds_apart():
     assert gram[1].tobytes() == gram[4].tobytes()
     # the scaling-wavelet pair at offset 0 is not read as the scaling pair
     assert abs(gram[0, 0] - 1.0) < 1e-15 and abs(gram[0, 1]) < 1e-15
+
+
+def test_gram_takes_translates_up_to_its_int64_bound():
+    # expansion starts are int64 arithmetic: up to 2**35 they match the
+    # Python-int loop, past it the Gram refuses rather than wrap
+    filt, J = filter_by_name("db2"), 8
+    far = 2**35
+    keys = [("scaling", 0, far // 2), ("wavelet", 0, far // 2), ("scaling", 1, far), ("wavelet", 2, -far), ("scaling", 0, -far)]
+    gram = FactorInnerCache(filt, J).gram(keys)
+    assert gram.tobytes() == _loop_gram(keys, J, filt).tobytes()
+    assert gram[0, 2] != 0.0
+    with pytest.raises(SizeGuardError, match="2\\*\\*35"):
+        FactorInnerCache(filt, J).gram([("scaling", 0, far + 1)])
 
 
 @pytest.mark.parametrize(
@@ -426,15 +489,6 @@ def test_star_nd_separable_matches_loop_bytes(case):
             )
     # the early exit is exercised: without it these entries would turn -0.0
     assert negative_after_zero > 0
-
-
-def test_sweep_block_size_does_not_change_bits(monkeypatch):
-    for b, args in ((_basis("haar", 2, 3), (1, 1, 10)), (_basis("db2", 3, 2), (0, 1, 8))):
-        want = catalog_star_deviation(b, *args).hex()
-        n = catalog_rows(b.d, b.m, *args[:2])
-        for rows in (1, 5, n - 1):
-            monkeypatch.setattr(basisnd, "_SWEEP_BLOCK_BYTES", 8 * n * rows)
-            assert catalog_star_deviation(b, *args).hex() == want
 
 
 def _tables_after(form, name, d, m, max_level, k_range, J):
@@ -501,6 +555,7 @@ def test_sweep_guard_rejects_before_allocating(monkeypatch):
         raise AssertionError("catalog enumerated before the size guard")
 
     monkeypatch.setattr(basisnd, "catalog_atoms", never)
+    monkeypatch.setattr(basisnd, "_catalog_blocks", never)
     with pytest.raises(SizeGuardError, match="642816"):
         catalog_star_deviation(b, 1, 1, 10)
 
@@ -543,13 +598,13 @@ def test_gram_nd_catches_one_shifted_factor_key(shift, monkeypatch):
 
         monkeypatch.setattr(basisnd, "factor_component", moved)
     else:
-        real = basisnd._row_keys
+        real = basisnd._translate_keys
 
-        def moved(atoms, mw):
-            keys, idx = real(atoms, mw)
+        def moved(descs, k_range):
+            keys = real(descs, k_range)
             kind, scale, k = keys[-1]
             keys[-1] = (kind, scale, k - 1)
-            return keys, idx
+            return keys
 
-        monkeypatch.setattr(basisnd, "_row_keys", moved)
+        monkeypatch.setattr(basisnd, "_translate_keys", moved)
     assert catalog_star_deviation(b, 1, 1, 10) > 1e-3

@@ -110,6 +110,21 @@ def test_verify_db2_exact_fails_sampled_passes(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--manifest", str(manifest), "--profile", "sampled"]) == 0
 
 
+def test_verify_refuses_d4_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # a d = 4 basis builds, but verify's reconstruction rows run the
+    # transform, which takes d <= 3; the refusal comes before the Gram sweeps
+    manifest = build_manifest(tmp_path, name="haar", d=4, m=1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a Gram sweep ran before the refusal")
+
+    monkeypatch.setattr(cli, "translate_gram_deviation", never)
+    monkeypatch.setattr(cli, "catalog_star_deviation", never)
+    assert main(["verify", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "d <= 3" in err and "d=4" in err
+
+
 def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
     manifest = build_manifest(tmp_path)
     good = manifest.read_text()
@@ -677,3 +692,17 @@ def test_cold_verify_builds_no_table_finer_than_j():
         "print(max(level for level, _ in scalar._table_cache.values()))\n"
     )
     assert _run_python(["-c", code]).stdout.strip() == "10"
+
+
+def test_cold_verify_leaves_numpy_ma_unimported():
+    # grouping the Gram's tags with np.unique would import numpy.ma, about
+    # 1.5 MiB of peak memory in a cold CLI verify
+    code = (
+        "import sys\n"
+        "from vecwave import scalar\n"
+        "from vecwave.basisnd import build_basis_nd\n"
+        "from vecwave.cli import run_verify\n"
+        "assert run_verify(build_basis_nd(scalar.filter_by_name('db10'), 1, 2), 10, 'sampled').passed\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_python(["-c", code]).stdout.strip() == "False"

@@ -235,6 +235,42 @@ def test_dot_is_the_sum_of_the_rounded_products_to_one_rounding():
     assert _dot(huge, np.ones(3)) == 1.0
 
 
+def _row_dot(a, b):
+    """One vector's ``_dot`` as the package computed it before rows could
+    be stacked: the bitwise reference of every row of a stack."""
+    p = a * b
+    top = float(abs(p).max(initial=0.0))
+    if not 2.0**-900 < top < 2.0**900:
+        return float(p.sum())
+    sigma = 2.0 ** ((len(p) + 1).bit_length() + math.frexp(top)[1])
+    q = (sigma + p) - sigma
+    return float(q.sum()) + float((p - q).sum())
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 8191, 8192, 8193, 131073])
+def test_stacked_dot_rows_keep_the_bits_of_one_row_calls(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, 8, n))
+    a[1] = 0.0  # an all-zero row
+    a[2], b[2] = -0.0, abs(b[2])  # products all -0.0
+    a[3, ::2] = -0.0  # signed zeros among values
+    b[3, 1::3] = 0.0
+    a[4] *= 2.0**460  # products past 2**900: the plain pairwise sum
+    b[4] *= 2.0**460
+    a[5] *= 2.0**-460  # and below 2**-900
+    b[5] *= 2.0**-460
+    a[6] = rng.permutation(np.concatenate([a[6, : n // 2] * 2.0**30, -a[6, : n // 2] * 2.0**30, a[6, n // 2 * 2 :]]))
+    got = _dot(a, b)
+    assert got.shape == (8,)
+    for r in range(8):
+        want = _row_dot(a[r], b[r])
+        assert got[r].hex() == want.hex() == _dot(a[r], b[r]).hex(), r
+    # a stack whose every row is in range, and one whose every row is not
+    for rows in ([0, 3, 6, 7], [1, 2, 4, 5]):
+        got = _dot(a[rows], b[rows])
+        assert [v.hex() for v in got.tolist()] == [_row_dot(a[r], b[r]).hex() for r in rows]
+
+
 def test_moment_order_guard():
     p = refine_sample(haar_filter(), "scaling", 3)
     with pytest.raises(ValueError):
