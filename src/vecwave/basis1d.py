@@ -30,6 +30,7 @@ from .scalar import (
     ScalarFilter,
     _dot,
     _filter_key,
+    _finest_level,
     filter_deviations,
     scaled_atom_sample,
 )
@@ -122,7 +123,8 @@ def _compose_step(c: np.ndarray, c_start: int, h: np.ndarray, h_start: int) -> t
 
 # one expansion per (filter, kind, depth): a factor's coefficients over
 # phi_{scale + depth, n} do not depend on its scale, and its shift only
-# moves their start
+# moves their start.  Every Gram re-reads it: a warm run_verify of each of
+# db10's d = 1, m = 1..3 bases looks it up 218 times, every one a hit.
 _expansion_cache: dict[tuple[tuple, str, int], tuple[np.ndarray, int]] = {}
 
 
@@ -142,7 +144,7 @@ def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: 
     if depth < (kind == "wavelet"):
         raise ResolutionError(f"level {level} too coarse for a {kind} factor at scale {scale}")
     # the deepest expansion whose (L - 1) * 2**depth coefficients fit, as for a cascade table
-    finest = (MAX_TABLE_SAMPLES // (filt.length - 1)).bit_length() - 1
+    finest = _finest_level(filt)
     if depth > finest:
         raise SizeGuardError(
             f"a depth-{depth} expansion of {filt.name} would hold about {filt.length - 1} * 2**{depth} "
@@ -271,15 +273,17 @@ class FactorInnerCache:
     their :func:`expand_factor` coefficients at one common level: the
     ``phi_{L,n}`` are orthonormal, so the pairing is exact up to rounding
     (Plonka & Strela, *Adv. Comput. Math.* 8, 1998) and samples no cascade
-    table.  J must still be >= 1, but the Gram does not depend on it.
+    table.  J must still be >= 1, but the Gram does not depend on it.  The
+    object holds only its filter: the expansions come from
+    :func:`expand_factor`'s cache, and no dot is kept between calls.
+    ``run_verify`` makes one call per object; repeated calls on one
+    object, as ``star_nd_separable`` makes, dot their tags again.
     """
 
     def __init__(self, filt: ScalarFilter, J: int):
         if J < 1:
             raise ValueError(f"need a resolution margin J >= 1, got {J}")
         self.filt = filt
-        self.J = J
-        self._dots = {}
 
     def gram(self, keys: list) -> np.ndarray:
         """Gram matrix of the listed keys, one dot per translate offset.
@@ -312,16 +316,12 @@ class FactorInnerCache:
         used[pair] = True
         start0, step, size = (np.zeros((nd * nd, 2), dtype=np.int64) for _ in range(3))
         seqs = {}
-        # an expansion at shift 0 depends on its kind and depth alone
-        expansions = {}
         for ab in np.flatnonzero(used).tolist():
             sides = descs[ab // nd], descs[ab % nd]
             level = max(scale + (kind == "wavelet") for kind, scale in sides)
             seqs[ab] = []
             for s, (kind, scale) in enumerate(sides):
-                if (kind, level - scale) not in expansions:
-                    expansions[kind, level - scale] = expand_factor(self.filt, kind, scale, 0, level)
-                seq, start0[ab, s] = expansions[kind, level - scale]
+                seq, start0[ab, s] = expand_factor(self.filt, kind, scale, 0, level)
                 step[ab, s], size[ab, s] = 2 ** (level - scale), len(seq)
                 seqs[ab].append(seq)
         offset = (start0[pair, 1] + shift[q] * step[pair, 1]) - (start0[pair, 0] + shift[p] * step[pair, 0])
@@ -340,18 +340,12 @@ class FactorInnerCache:
         for t, code in enumerate(tags):
             ab, off = divmod(code, 2 * reach + 1)
             off -= reach
-            tag = (*descs[ab // nd], *descs[ab % nd], off)
-            if tag in self._dots:
-                values[t] = self._dots[tag]
-                continue
             ca, cb = seqs[ab]
             lo, hi = max(0, off), min(len(ca), off + len(cb))
-            todo.setdefault(hi - lo, []).append((t, tag, ca[lo:hi], cb[lo - off : hi - off]))
+            todo.setdefault(hi - lo, []).append((t, ca[lo:hi], cb[lo - off : hi - off]))
         for rows in todo.values():
-            t, tag, ra, rb = zip(*rows)
-            got = _dot(np.array(ra), np.array(rb))
-            values[list(t)] = got
-            self._dots.update(zip(tag, got.tolist()))
+            t, ra, rb = zip(*rows)
+            values[list(t)] = _dot(np.array(ra), np.array(rb))
         out = np.zeros((n, n))
         out[p, q] = out[q, p] = values[inverse]
         return out
@@ -374,11 +368,11 @@ def translate_gram_deviation(mw: Multiwavelet, J: int = 8, k_range: int = 2) -> 
     return float(np.max(np.abs(gram - np.eye(len(keys))), initial=0.0))
 
 
-def from_multiwavelet(mw: Multiwavelet, J: int = 8, tol: float = 1e-10) -> VectorBasis1D:
+def from_multiwavelet(mw: Multiwavelet, tol: float = 1e-10) -> VectorBasis1D:
     """Reassemble a vector basis from multiwavelet generators.
 
     The generators are Gram-checked under integer translation first (by
-    :func:`translate_gram_deviation`, which ignores J's value); a deviation
+    :func:`translate_gram_deviation`, from the filter taps); a deviation
     above ``tol`` raises NotOrthonormalError.  The descriptor
     lists must form the laddered scale layout produced by
     :func:`to_multiwavelet`, which pins down the basis uniquely.
@@ -388,7 +382,7 @@ def from_multiwavelet(mw: Multiwavelet, J: int = 8, tol: float = 1e-10) -> Vecto
             f"need equal generator counts, got {len(mw.scaling)} scaling and "
             f"{len(mw.wavelets)} wavelets"
         )
-    dev = translate_gram_deviation(mw, J=J)
+    dev = translate_gram_deviation(mw)
     if dev > tol:
         raise NotOrthonormalError(
             f"generator translates deviate from orthonormality by {dev:.3e}"

@@ -9,7 +9,6 @@ failure, 2 input or usage error.
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -208,16 +207,6 @@ def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
     return VerifyReport(filt.name, d, m, profile, j, tuple(sorted(rows)))
 
 
-def _resolve_j(args) -> int:
-    if args.j is not None:
-        return args.j
-    raw = os.environ.get("VECWAVE_J", "10")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"VECWAVE_J must be an integer, got {raw!r}") from None
-
-
 def _cmd_build(args) -> int:
     basis = build_basis_nd(filter_by_name(args.filter), args.d, args.m)
     with open(args.out, "w", encoding="ascii") as fh:
@@ -229,7 +218,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.manifest, encoding="ascii") as fh:
         basis = load_manifest(fh.read())
-    report = run_verify(basis, _resolve_j(args), args.profile)
+    report = run_verify(basis, args.j, args.profile)
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write(report.to_csv())
@@ -269,7 +258,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    j = _resolve_j(args)
     if (args.function is None) == (args.manifest is None):
         raise ValueError("pass exactly one of --function or --manifest/--family")
     if args.function is not None:
@@ -287,8 +275,8 @@ def _cmd_plot(args) -> int:
         if not 1 <= args.channel <= basis.m:
             raise ValueError(f"channel must lie in 1..{basis.m}, got {args.channel}")
         atom = make_atom(family, args.level, (0,) * basis.d)
-        field = sample_vector_atom_nd(atom, basis, j)
-        caption = f"{family.name} ch{args.channel} t={args.level} J={j} filter={basis.mw.filter.name}"
+        field = sample_vector_atom_nd(atom, basis, args.j)
+        caption = f"{family.name} ch{args.channel} t={args.level} J={args.j} filter={basis.mw.filter.name}"
         channel = field.values[args.channel - 1]
         if basis.d == 1:
             svg = step_polyline_svg(SampledFunction(field.start[0], field.level, channel), caption=caption)
@@ -313,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant checks")
     p_verify.add_argument("--manifest", required=True)
-    p_verify.add_argument("--j", type=int, default=None, help="grid level of the sampled checks (default: VECWAVE_J or 10)")
+    p_verify.add_argument("--j", type=int, default=10, help="grid level of the sampled checks (default: 10)")
     p_verify.add_argument("--profile", choices=sorted(_PROFILES), default="exact")
     p_verify.add_argument("--report", default=None, help="also write the CSV report here")
     p_verify.set_defaults(func=_cmd_verify)
@@ -334,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--channel", type=int, default=1)
     p_plot.add_argument("--level", type=int, default=0)
     p_plot.add_argument("--function", default=None, help="sampled-function CSV instead of an atom")
-    p_plot.add_argument("--j", type=int, default=None)
+    p_plot.add_argument("--j", type=int, default=10, help="grid level of the atom's samples (default: 10)")
     p_plot.add_argument("--out", required=True)
     p_plot.set_defaults(func=_cmd_plot)
     return parser

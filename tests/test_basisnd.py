@@ -492,9 +492,9 @@ def test_star_nd_separable_matches_loop_bytes(case):
 
 
 def _tables_after(form, name, d, m, max_level, k_range, J):
-    """The cached cascade-table (function, level) pairs and the
-    scaled-sample cache keys of a fresh process after one sweep in the
-    given form ("loop" or "array"; any other builds the basis alone)."""
+    """The cached cascade-table (function, level) pairs of a fresh process
+    after one sweep in the given form ("loop" or "array"; any other builds
+    the basis alone)."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
@@ -504,7 +504,7 @@ def _tables_after(form, name, d, m, max_level, k_range, J):
         f"fn = {dict(loop='t._loop_catalog_star_deviation', array='t.catalog_star_deviation').get(form, 'lambda *args: None')}\n"
         f"fn(b, {max_level}, {k_range}, {J})\n"
         "tables = [(w, level) for (_, w), (level, _) in scalar._table_cache.items()]\n"
-        "print(json.dumps([sorted(tables), sorted(map(repr, scalar._scaled_cache))]))\n"
+        "print(json.dumps(sorted(tables)))\n"
     )
     src = str(Path(vecwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -522,8 +522,8 @@ def _tables_after(form, name, d, m, max_level, k_range, J):
 )
 def test_sweep_builds_the_loops_tables(case):
     # The Gram table and the loop both pair factors by their tap
-    # expansions, so a cold sweep adds no cascade table and no sample to
-    # those the basis's own refinement check (level m) built.
+    # expansions, so a cold sweep adds no cascade table to those the
+    # basis's own refinement check (level m) built.
     tables = _tables_after("array", *case)
     assert tables == _tables_after("build", *case)
     assert tables == _tables_after("loop", *case)

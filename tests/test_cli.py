@@ -175,13 +175,11 @@ def test_verify_refuses_an_oversized_sweep(tmp_path, capsys):
     assert "gram sweep guard" in capsys.readouterr().err
 
 
-def test_verify_refuses_an_oversized_table(tmp_path, capsys, monkeypatch):
+def test_verify_refuses_an_oversized_table(tmp_path, capsys):
     # J = 60 would ask for cascade tables of about 2**60 samples
     manifest = build_manifest(tmp_path)
     assert main(["verify", "--manifest", str(manifest), "--j", "60"]) == 2
-    monkeypatch.setenv("VECWAVE_J", "60")
-    assert main(["verify", "--manifest", str(manifest)]) == 2
-    assert capsys.readouterr().err.count("samples, more than the") == 2
+    assert capsys.readouterr().err.count("samples, more than the") == 1
 
 
 @pytest.mark.parametrize("name,m,profile", [("haar", 2, "exact"), ("db2", 1, "sampled")])
@@ -201,13 +199,15 @@ def test_d3_build_verify_transform(tmp_path, capsys, name, m, profile):
     assert_allclose(rec.values, sig.values, rtol=0, atol=1e-12)
 
 
-def test_verify_env_j_override(tmp_path, capsys, monkeypatch):
+def test_verify_j_flag_sets_the_grid_level(tmp_path, capsys, monkeypatch):
     manifest = build_manifest(tmp_path)
+    # only the flag sets J; the environment has no say
     monkeypatch.setenv("VECWAVE_J", "6")
     assert main(["verify", "--manifest", str(manifest)]) == 0
+    assert "J=10" in capsys.readouterr().out
+    assert main(["verify", "--manifest", str(manifest), "--j", "6"]) == 0
     assert "J=6" in capsys.readouterr().out
-    monkeypatch.setenv("VECWAVE_J", "six")
-    assert main(["verify", "--manifest", str(manifest)]) == 2
+    assert main(["verify", "--manifest", str(manifest), "--j", "six"]) == 2
 
 
 def test_transform_round_trip_1d(tmp_path):
@@ -520,12 +520,15 @@ def test_plot_function_draws_samples_whose_range_overflows(tmp_path, values, lab
         assert f">{label}</text>" in svg
 
 
-def test_plot_env_j_default(tmp_path, monkeypatch):
+def test_plot_j_flag_sets_the_grid_level(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, d=1, m=1)
     out = tmp_path / "phi.svg"
     monkeypatch.setenv("VECWAVE_J", "4")
     assert main(["plot", "--manifest", str(manifest), "--family", "Phi1",
                  "--out", str(out)]) == 0
+    assert "J=10" in out.read_text()
+    assert main(["plot", "--manifest", str(manifest), "--family", "Phi1",
+                 "--j", "4", "--out", str(out)]) == 0
     assert "J=4" in out.read_text()
 
 
@@ -580,18 +583,15 @@ def assert_refused_at_once(capsys, argv, limit):
     assert "integer string conversion" not in err
 
 
-@pytest.mark.parametrize("case", ["verify-j", "env-j", "plot-j"])
-def test_huge_grid_levels_are_refused_at_once(tmp_path, capsys, monkeypatch, case):
+@pytest.mark.parametrize("case", ["verify-j", "plot-j"])
+def test_huge_grid_levels_are_refused_at_once(tmp_path, capsys, case):
     # computed first, 2**J would take time and memory that grow with J
     manifest = str(build_manifest(tmp_path, name="db2", d=1, m=2))
     argv = {
         "verify-j": ["verify", "--manifest", manifest, "--j", str(10**9)],
-        "env-j": ["verify", "--manifest", manifest],
         "plot-j": ["plot", "--manifest", manifest, "--family", "Phi1",
                    "--j", str(10**9), "--out", str(tmp_path / "phi.svg")],
     }[case]
-    if case == "env-j":
-        monkeypatch.setenv("VECWAVE_J", str(10**12))
     assert_refused_at_once(capsys, argv, "past 1022")
 
 

@@ -333,7 +333,6 @@ def test_caches_keyed_by_taps_not_name(monkeypatch):
     """A filter that reuses a builtin name with other taps gets its own
     samples, not the builtin's cached ones."""
     monkeypatch.setattr(scalar, "_table_cache", {})
-    monkeypatch.setattr(scalar, "_scaled_cache", {})
     db2, db3 = filter_by_name("db2"), filter_by_name("db3")
     assert len(refine_sample(db2, "scaling", 3).values) == 24
     scaled_atom_sample(db2, "wavelet", 1, 0, 3)
@@ -480,16 +479,30 @@ def test_scale0_atoms_share_the_cached_tables(monkeypatch):
     from vecwave.cli import run_verify
 
     monkeypatch.setattr(scalar, "_table_cache", {})
-    monkeypatch.setattr(scalar, "_scaled_cache", {})
     filt = filter_by_name("db4")
     run_verify(build_basis_nd(filt, 1, 2), 8, "sampled")
     tables = {which: entry for (_, which), entry in scalar._table_cache.items()}
-    shared = [
-        values is tables[which][1]
-        for (_, which, scale, J), values in scalar._scaled_cache.items()
-        if scale == 0 and J == tables[which][0]
-    ]
-    assert len(shared) == 2 and all(shared)
+    assert sorted(tables) == ["scaling", "wavelet"]
+    for which, (level, _) in tables.items():
+        for k in (0, 3):
+            assert scaled_atom_sample(filt, which, 0, k, level).values is scalar._table(filt, which, level)
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db7"])
+@pytest.mark.parametrize("which", ["scaling", "wavelet"])
+def test_dilated_atom_is_the_scaled_table(name, which):
+    """At scale s > 0 the samples are 2**(s/2) times the level J - s table,
+    bit for bit, and read-only like the table itself."""
+    filt = filter_by_name(name)
+    J = 9
+    for s in (1, 2, 5, J):
+        sample = scaled_atom_sample(filt, which, s, 2, J)
+        table = scalar._table(filt, which, J - s)
+        assert sample.values.tobytes() == (2.0 ** (s / 2.0) * table).tobytes()
+        assert sample.values is not table
+        assert not sample.values.flags.writeable
+        with pytest.raises(ValueError):
+            sample.values[0] = 1.0
 
 
 def test_restricted_table_is_read_only_and_contiguous(monkeypatch):
@@ -516,7 +529,6 @@ def test_verify_report_independent_of_cached_levels(monkeypatch):
     reports = []
     for warm in (False, True):
         monkeypatch.setattr(scalar, "_table_cache", {})
-        monkeypatch.setattr(scalar, "_scaled_cache", {})
         if warm:
             for which in ("scaling", "wavelet"):
                 scalar._table(filt, which, 17)
