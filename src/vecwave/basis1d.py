@@ -28,10 +28,10 @@ from .errors import NotOrthonormalError, ResolutionError, SizeGuardError
 from .scalar import (
     MAX_TABLE_SAMPLES,
     ScalarFilter,
+    _axiom_deviations,
     _dot,
     _filter_key,
     _finest_level,
-    filter_deviations,
     scaled_atom_sample,
 )
 from .star import MatrixM
@@ -60,15 +60,22 @@ class VectorBasis1D:
         return 2**self.m
 
     def scaling_components(self) -> tuple:
-        return (Component("scaling", 0),) + tuple(
-            Component("wavelet", s) for s in range(self.m - 1)
-        )
+        return scaling_ladder(self.m)
 
     def wavelet_components(self, t: int) -> tuple:
-        if t < 0:
-            raise ValueError(f"wavelet level must be >= 0, got {t}")
-        base = self.m * t + self.m - 1
-        return tuple(Component("wavelet", base + r) for r in range(self.m))
+        return wavelet_ladder(self.m, t)
+
+
+def scaling_ladder(m: int) -> tuple:
+    """The m channels of the scaling atom: phi, then psi at scales 0..m-2."""
+    return (Component("scaling", 0),) + tuple(Component("wavelet", s) for s in range(m - 1))
+
+
+def wavelet_ladder(m: int, t: int) -> tuple:
+    """The m channels of wavelet level t: psi at scales m t + m - 1 onward."""
+    if t < 0:
+        raise ValueError(f"wavelet level must be >= 0, got {t}")
+    return tuple(Component("wavelet", m * t + m - 1 + r) for r in range(m))
 
 
 def build_vector_basis(filt: ScalarFilter, m: int) -> VectorBasis1D:
@@ -249,7 +256,7 @@ def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
     dev = refine_residual(basis, matrix_refinement_filter(basis), basis.m)
     if dev > 1e-10:
         raise RuntimeError(f"two-scale refinement residual {dev:.3e} exceeds 1e-10")
-    axioms = filter_deviations(basis.filter)
+    axioms = _axiom_deviations(basis.filter)
     if axioms["sum"] > 1e-12 or axioms["orthonormality"] > 1e-12:
         raise NotOrthonormalError(
             f"filter {basis.filter.name} misses the orthonormal filter axioms by more than "

@@ -232,6 +232,8 @@ def _cmd_transform(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read()
     if args.inverse:
+        if args.levels is not None or args.threshold is not None:
+            raise ValueError("--levels and --threshold apply to the forward transform only")
         dec = decomposition_from_bytes(data)
         if (dec.d, dec.m) != (basis.d, basis.m) or dec.filter_name != basis.mw.filter.name:
             raise FileFormatError(

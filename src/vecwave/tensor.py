@@ -5,10 +5,11 @@ coordinatewise into (2m)^d atom shapes per level, organized into subband
 families by the number e of wavelet coordinates.  Level t advances every
 coordinate by the m-fold dyadic step, so factor scales stay disjoint
 across levels and the products remain orthonormal.  `factor_component`
-names the scalar factor behind one coordinate of a shape; the catalog,
-its Gram sweep and the transform's band packing all read it.  A one-row
-`basisnd.VectorAtomND` is a separable scalar atom, sampled densely by
-`basisnd.sample_vector_atom_nd`.
+names the scalar factor behind one coordinate of a shape; the catalog
+and its Gram sweep read it, and the transform's band layout reads
+`ladder_component`, the same map over the generator components alone.
+A one-row `basisnd.VectorAtomND` is a separable scalar atom, sampled
+densely by `basisnd.sample_vector_atom_nd`.
 """
 
 from __future__ import annotations
@@ -67,9 +68,15 @@ def enumerate_families(d: int, m: int) -> list:
 
 def factor_component(mw: Multiwavelet, eps_i: int, alpha_i: int, j: int) -> Component:
     """The scalar component behind coordinate factor (eps_i, alpha_i) at level j."""
-    gens = mw.scaling if eps_i == 0 else mw.wavelets
-    if not 1 <= alpha_i <= mw.m:
-        raise ValueError(f"alpha must lie in 1..{mw.m}, got {alpha_i}")
+    return ladder_component(mw.scaling, mw.wavelets, eps_i, alpha_i, j)
+
+
+def ladder_component(scaling: tuple, wavelets: tuple, eps_i: int, alpha_i: int, j: int) -> Component:
+    """`factor_component` over the m scaling and m wavelet generator components."""
+    m = len(scaling)
+    gens = scaling if eps_i == 0 else wavelets
+    if not 1 <= alpha_i <= m:
+        raise ValueError(f"alpha must lie in 1..{m}, got {alpha_i}")
     comp = gens[alpha_i - 1]
-    return Component(comp.kind, comp.scale + mw.m * j)
+    return Component(comp.kind, comp.scale + m * j)
 

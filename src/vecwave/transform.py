@@ -23,6 +23,14 @@ column lengths recorded in the band act as the validity mask.  Synthesis
 reads only the slots past each column's length to check that they are
 +-0.0, and refuses a decomposition with anything else there.
 
+So (d, m, n, levels, partition) fix every band's key, orientation bits,
+level, block and column descriptors, and one table, `_layout`, lists
+them in file order.  Analysis packs by it and synthesis refuses bands
+whose headers differ from it.  The `.vdec` decoder parses only the header
+and the partition line, writes the manifest they fix and refuses a file
+that does not start with exactly that text, as a basis manifest is
+rebuilt from its header and must match.
+
 Signals and bands share one ownership rule: a read-only float64 array that
 owns its memory is kept as it is, since nothing can change it under them,
 and anything else is copied.  Either way the stored array is read-only.
@@ -48,15 +56,17 @@ zeros included.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
+import math
 import re
 
 import numpy as np
 
-from .basis1d import VectorBasis1D, to_multiwavelet
+from .basis1d import VectorBasis1D, scaling_ladder, to_multiwavelet, wavelet_ladder
 from .basisnd import BasisND, Partition, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter
-from .tensor import MAX_SAMPLE_D, factor_component
+from .tensor import MAX_SAMPLE_D, ladder_component
 
 __all__ = [
     "Band",
@@ -351,13 +361,7 @@ class Band:
         return tuple(length for _, _, length in self.cols[r])
 
     def valid_count(self) -> int:
-        total = 0
-        for r in range(self.m):
-            size = 1
-            for length in self.col_lengths(r):
-                size *= length
-            total += size
-        return self.m * total
+        return self.m * sum(math.prod(self.col_lengths(r)) for r in range(self.m))
 
 
 @dataclass(frozen=True)
@@ -415,21 +419,14 @@ def _basis_params(basis, signal_d: int, signal_m: int):
 _SUBBAND_KIND = {"scaling": "approx", "wavelet": "detail"}
 
 
-def _wavelet_eps(d: int):
-    out = []
-    for bits in range(1, 2**d):
-        out.append(tuple((bits >> (d - 1 - ax)) & 1 for ax in range(d)))
-    return sorted(out)
-
-
 @lru_cache(maxsize=64)
-def _schedule(d: int, m: int, levels: int, s0: int):
-    """The scalar steps of the pyramid as (axis, steps, src_key, out_keys) ops.
+def _schedule(d: int, m: int, levels: int, s0: int) -> tuple:
+    """The scalar steps of the pyramid as (axis, steps, src_key, out_keys) ops, in analysis order.
 
     A key names a subband by one (kind, scale) descriptor per space axis,
-    the descriptors `_pack_band` asks for; out_keys is (approx, details
-    finest first), as `_axis_pyramid` returns them.  Returns the ops in
-    analysis order and the frozenset of leaf keys the bands hold.
+    as a `_layout` column does without its lengths; out_keys is (approx,
+    details finest first), as `_axis_pyramid` returns them.  The subbands
+    no op splits further are exactly the columns of `_layout`.
     """
     ops = []
 
@@ -447,7 +444,6 @@ def _schedule(d: int, m: int, levels: int, s0: int):
             nodes = [leaf for n in nodes for leaf in split(n, axis, m - 1)]
         return nodes
 
-    leaves = []
     root = (("approx", s0 + m * levels + m - 1),) * d
     for t in range(levels - 1, -1, -1):
         waiting = ("approx", s0 + m * t + m - 1)
@@ -462,32 +458,46 @@ def _schedule(d: int, m: int, levels: int, s0: int):
                         children += settle(child, [c for c, desc in enumerate(child) if desc == waiting])
             nodes = children
         # the all-approx node comes first and carries on to the next level
-        root, *done = nodes
-        leaves += done
-    leaves += settle(root, range(d))
-    return tuple(ops), frozenset(leaves)
+        root = nodes[0]
+    settle(root, range(d))
+    return tuple(ops)
 
 
-def _pack_band(key, eps, level, block_idx, rows, pieces, mw, s0, d):
-    cols = []
-    arrays = []
-    t = max(level, 0)
-    for alpha in rows:
-        # catalog scale 0 is the transform's coarsest scale s0
-        descs = tuple(
-            (_SUBBAND_KIND[comp.kind], s0 + comp.scale)
-            for comp in (factor_component(mw, e, a, t) for e, a in zip(eps, alpha))
-        )
-        arr = pieces.pop(descs)
-        cols.append(tuple((kind, scale, length) for (kind, scale), length in zip(descs, arr.shape[1:])))
-        arrays.append(arr)
-    kmax = tuple(max(col[ax][2] for col in cols) for ax in range(d))
-    values = np.zeros((mw.m, mw.m) + kmax)
-    for rho, arr in enumerate(arrays):
-        sl = (slice(None), rho) + tuple(slice(0, length) for length in arr.shape[1:])
-        values[sl] = arr
-    values.flags.writeable = False
-    return Band(key, eps, level, block_idx, tuple(cols), values)
+def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
+    """Every band's (key, eps, level, block, cols) in file order.
+
+    The base family's blocks come first, then each level t finest first,
+    its orientations eps in lexicographic order, each over the blocks.  Row
+    alpha of a block gives the column whose axis i holds the factor
+    (eps_i, alpha_i) at level t of the m-channel generator ladder, which
+    depends on m alone; catalog scale 0 is the transform's coarsest scale
+    s0, and a column of scale s holds 2**s translates.  It is not cached:
+    analysis, the decoder and synthesis each build it once per call.
+    """
+    scaling, wavelets = scaling_ladder(m), wavelet_ladder(m, 0)
+    families = [((0,) * d, -1)]
+    families += [(eps, t) for t in range(levels) for eps in product((0, 1), repeat=d) if any(eps)]
+    out = []
+    for eps, level in families:
+        bits = "".join(str(b) for b in eps)
+        desc = {}
+        for e, a in product((0, 1), range(1, m + 1)):
+            c = ladder_component(scaling, wavelets, e, a, max(level, 0))
+            desc[e, a] = (_SUBBAND_KIND[c.kind], s0 + c.scale, 2 ** (s0 + c.scale))
+        for block, rows in enumerate(blocks):
+            cols = tuple(tuple(desc[ea] for ea in zip(eps, alpha)) for alpha in rows)
+            key = f"base-b{block}" if level < 0 else f"w-e{bits}-t{level}-b{block}"
+            out.append((key, eps, level, block, cols))
+    return tuple(out)
+
+
+def _band_shape(m: int, cols) -> tuple:
+    """A band's values shape: m x m, then its widest column's length on each axis."""
+    return (m, m) + tuple(max(col[ax][2] for col in cols) for ax in range(len(cols[0])))
+
+
+def _head(band: Band) -> tuple:
+    return band.key, band.eps, band.level, band.block, band.cols
 
 
 def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposition:
@@ -507,21 +517,19 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     s0 = smax - depth
     d = signal.d
 
-    ops, _ = _schedule(d, m, levels, s0)
     pieces = {(("approx", smax),) * d: signal.values}
-    for axis, steps, src, out in ops:
+    for axis, steps, src, out in _schedule(d, m, levels, s0):
         approx, details = _axis_pyramid(pieces.pop(src), filt, steps, axis + 1)
         pieces.update(zip(out, [approx] + details))
 
     bands = []
-    base_eps = (0,) * d
-    for l, rows in enumerate(part.blocks):
-        bands.append(_pack_band(f"base-b{l}", base_eps, -1, l, rows, pieces, mw, s0, d))
-    for t in range(levels):
-        for eps in _wavelet_eps(d):
-            bits = "".join(str(b) for b in eps)
-            for l, rows in enumerate(part.blocks):
-                bands.append(_pack_band(f"w-e{bits}-t{t}-b{l}", eps, t, l, rows, pieces, mw, s0, d))
+    for key, eps, level, block, cols in _layout(d, m, levels, s0, part.blocks):
+        values = np.zeros(_band_shape(m, cols))
+        for rho, col in enumerate(cols):
+            arr = pieces.pop(tuple((kind, scale) for kind, scale, _ in col))
+            values[(slice(None), rho) + tuple(slice(0, length) for _, _, length in col)] = arr
+        values.flags.writeable = False
+        bands.append(Band(key, eps, level, block, cols, values))
     if pieces:
         raise RuntimeError(f"subbands left unconsumed by the regrouping: {sorted(pieces)}")
     return VectorDecomposition(d, m, signal.n, levels, filt.name, part, tuple(bands))
@@ -539,16 +547,16 @@ def _unpack_bands(dec: VectorDecomposition) -> dict:
             for ax, (_, _, length) in enumerate(col):
                 if length < full.shape[1 + ax] and full[(slice(None),) + valid[:ax] + (slice(length, None),)].any():
                     raise CorruptionError(f"nonzero coefficient in a masked slot of {band.key} column {rho}")
-            arr = full[(slice(None),) + valid]
-            descs = tuple((kind, scale) for kind, scale, _ in col)
-            if descs in pieces:
-                raise CorruptionError(f"subband {descs} claimed twice")
-            pieces[descs] = arr
+            pieces[tuple((kind, scale) for kind, scale, _ in col)] = full[(slice(None),) + valid]
     return pieces
 
 
 def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> VectorSignal:
-    """Invert analyze_vector.  `n` (optional) cross-checks the grid size."""
+    """Invert analyze_vector.  `n` (optional) cross-checks the grid size.
+
+    The bands must carry exactly the headers of `_layout` for the
+    decomposition's d, m, n, levels and partition, in its order.
+    """
     mw, part = _basis_params(basis, dec.d, dec.m)
     filt, m = mw.filter, mw.m
     if filt.name != dec.filter_name:
@@ -559,16 +567,14 @@ def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> 
         raise DimensionError(f"requested n = {n} but decomposition holds n = {dec.n}")
     smax = dec.n.bit_length() - 1
     s0 = smax - (m * dec.levels + m - 1)
-    # first, so a levels field read from a file cannot ask for a huge schedule
+    # first, so a levels field read from a file cannot ask for a huge layout
     if s0 < 0:
         raise CorruptionError(f"{dec.levels} vector levels of m = {m} exceed log2(n) = {smax}")
-    ops, leaves = _schedule(dec.d, m, dec.levels, s0)
+    layout = _layout(dec.d, m, dec.levels, s0, part.blocks)
+    if tuple(_head(band) for band in dec.bands) != layout:
+        raise CorruptionError(f"bands depart from the layout of d={dec.d} m={m} n={dec.n} levels={dec.levels} and the partition")
     pieces = _unpack_bands(dec)
-    if leaves - pieces.keys():
-        raise CorruptionError(f"decomposition is missing subbands: {sorted(leaves - pieces.keys())}")
-    if pieces.keys() - leaves:
-        raise CorruptionError(f"decomposition holds unexpected subbands: {sorted(pieces.keys() - leaves)}")
-    for axis, _, src, out in reversed(ops):
+    for axis, _, src, out in reversed(_schedule(dec.d, m, dec.levels, s0)):
         pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
     (a,) = pieces.values()
     # a fresh pyramid output is kept by VectorSignal; with no steps (m = 1,
@@ -627,7 +633,7 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
 # at most 20 digits a field: int() refuses strings of more than 4300
 _SIGNAL_RE = re.compile(rb"^VWAV1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) dtype=f64le\n")
 _DEC_RE = re.compile(
-    r"^VDEC1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) levels=([0-9]{1,20}) filter=(\S+) bands=([0-9]{1,20})$"
+    r"^VDEC1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) levels=([0-9]{1,20}) filter=(\S+) bands=[0-9]{1,20}$"
 )
 
 
@@ -654,25 +660,25 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
         raise FileFormatError(f"invalid signal payload: {exc}") from exc
 
 
-def _partition_text(part: Partition) -> str:
-    return "/".join(";".join(",".join(str(a) for a in row) for row in block) for block in part.blocks)
-
-
-def _band_line(band: Band) -> str:
-    bits = "".join(str(b) for b in band.eps)
-    cols = ";".join("|".join(f"{kind}:{scale}:{length}" for kind, scale, length in col) for col in band.cols)
-    return f"{band.key},{bits},{band.level},{band.block},{cols}"
+def _manifest(d, m, n, levels, filter_name, blocks, heads) -> str:
+    """The regrouping map as text: header, partition, one CSV line per band head, `end`."""
+    lines = [
+        f"VDEC1 d={d} m={m} n={n} levels={levels} filter={filter_name} bands={len(heads)}",
+        "partition=" + "/".join(";".join(",".join(str(a) for a in row) for row in block) for block in blocks),
+    ]
+    for key, eps, level, block, cols in heads:
+        bits = "".join(str(b) for b in eps)
+        text = ";".join("|".join(f"{kind}:{scale}:{length}" for kind, scale, length in col) for col in cols)
+        lines.append(f"{key},{bits},{level},{block},{text}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def decomposition_manifest(dec: VectorDecomposition) -> str:
     """The regrouping map as text: header, partition, one CSV line per band."""
-    lines = [
-        f"VDEC1 d={dec.d} m={dec.m} n={dec.n} levels={dec.levels} filter={dec.filter_name} bands={len(dec.bands)}",
-        "partition=" + _partition_text(dec.partition),
-    ]
-    lines.extend(_band_line(band) for band in dec.bands)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _manifest(
+        dec.d, dec.m, dec.n, dec.levels, dec.filter_name, dec.partition.blocks, [_head(band) for band in dec.bands]
+    )
 
 
 def decomposition_to_bytes(dec: VectorDecomposition) -> bytes:
@@ -683,96 +689,67 @@ def decomposition_to_bytes(dec: VectorDecomposition) -> bytes:
     )
 
 
-def _parse_band_line(line: str, d: int, m: int):
-    parts = line.split(",")
-    if len(parts) != 5:
-        raise FileFormatError(f"malformed band line: {line!r}")
-    key, bits, level_s, block_s, cols_s = parts
-    try:
-        eps = tuple(int(b) for b in bits)
-        level = int(level_s)
-        block = int(block_s)
-        cols = []
-        for col_s in cols_s.split(";"):
-            axes = []
-            for axis_s in col_s.split("|"):
-                kind, scale_s, length_s = axis_s.split(":")
-                axes.append((kind, int(scale_s), int(length_s)))
-            cols.append(tuple(axes))
-    except ValueError as exc:
-        raise FileFormatError(f"malformed band line: {line!r}") from exc
-    if len(eps) != d or len(cols) != m:
-        raise FileFormatError(f"band line does not fit d={d} m={m}: {line!r}")
-    return key, eps, level, block, tuple(cols)
-
-
 def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
+    """Read a `.vdec`: its header and partition fix the rest of the manifest.
+
+    Only the header and the partition line are parsed.  The file must then
+    start with exactly the manifest `decomposition_manifest` writes for the
+    `_layout` they fix, so any other edit of the manifest is refused, and
+    the payload must hold exactly the bands of that layout.
+    """
     newline = data.find(b"\n")
-    if newline < 0:
-        raise FileFormatError("missing VDEC1 header")
+    second = data.find(b"\n", newline + 1)
+    if newline < 0 or second < 0:
+        raise FileFormatError("missing VDEC1 header or partition line")
     try:
-        header = data[:newline].decode("ascii")
+        header, part_line = data[:newline].decode("ascii"), data[newline + 1:second].decode("ascii")
     except UnicodeDecodeError as exc:
-        raise FileFormatError("header is not ASCII") from exc
+        raise FileFormatError("manifest is not ASCII") from exc
     match = _DEC_RE.match(header)
     if not match:
         raise FileFormatError("missing or malformed VDEC1 header")
     d, m, n, levels = (int(match.group(i)) for i in (1, 2, 3, 4))
     filter_name = match.group(5)
-    band_count = int(match.group(6))
     if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid geometry d={d} m={m} n={n}")
-
-    pos = newline + 1
-    lines = []
-    for _ in range(band_count + 2):
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            raise FileFormatError("truncated manifest")
-        try:
-            lines.append(data[pos:nl].decode("ascii"))
-        except UnicodeDecodeError as exc:
-            raise FileFormatError("manifest is not ASCII") from exc
-        pos = nl + 1
-    if not lines[0].startswith("partition="):
+    if not part_line.startswith("partition="):
         raise FileFormatError("missing partition line")
-    if lines[-1] != "end":
-        raise FileFormatError("manifest must end with 'end'")
     try:
         blocks = tuple(
             tuple(tuple(int(a) for a in row.split(",")) for row in block.split(";"))
-            for block in lines[0][len("partition="):].split("/")
+            for block in part_line[len("partition="):].split("/")
         )
         partition = Partition(d, m, blocks)
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
+    smax = n.bit_length() - 1
+    s0 = smax - (m * levels + m - 1)
+    # first, so a levels field cannot ask for a huge layout
+    if s0 < 0:
+        raise FileFormatError(f"{levels} vector levels of m = {m} exceed log2(n) = {smax}")
 
-    # slices of a memoryview copy nothing; each band is copied once, by Band
-    payload = memoryview(data)[pos:]
-    offset = 0
+    layout = _layout(d, m, levels, s0, partition.blocks)
+    text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
+    head = text.encode("ascii")
+    if not data.startswith(head):
+        first = next((i for i, (a, b) in enumerate(zip(data, head)) if a != b), len(data))
+        line = head.count(b"\n", 0, first)
+        raise FileFormatError(
+            f"manifest line {line + 1} departs from {text.splitlines()[line]!r}, "
+            "the line its header and partition fix"
+        )
+    shapes = [_band_shape(m, cols) for *_, cols in layout]
+    expected = len(head) + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(data) != expected:
+        raise FileFormatError(f"file holds {len(data)} bytes, its manifest implies {expected}")
+    # frombuffer copies nothing; each band is copied once, by Band
+    offset = len(head)
     bands = []
-    seen = set()
-    for line in lines[1:-1]:
-        key, eps, level, block, cols = _parse_band_line(line, d, m)
-        if key in seen:
-            raise FileFormatError(f"duplicate band key {key}")
-        seen.add(key)
-        kmax = tuple(max(col[ax][2] for col in cols) for ax in range(d))
-        size = m * m
-        for k in kmax:
-            size *= k
-        chunk = payload[offset * 8:(offset + size) * 8]
-        if len(chunk) != size * 8:
-            raise FileFormatError("payload shorter than the manifest implies")
-        offset += size
-        values = np.frombuffer(chunk, dtype="<f8").reshape((m, m) + kmax)
+    for (key, eps, level, block, cols), shape in zip(layout, shapes):
+        values = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
+        offset += values.nbytes
         try:
             bands.append(Band(key, eps, level, block, cols, values))
         except ValueError as exc:
             raise FileFormatError(f"invalid band {key}: {exc}") from exc
-    if len(payload) != offset * 8:
-        raise FileFormatError("payload longer than the manifest implies")
-    dec = VectorDecomposition(d, m, n, levels, filter_name, partition, tuple(bands))
-    if dec.census() != m * n**d:
-        raise CorruptionError(f"census {dec.census()} does not match m * n^d = {m * n**d}")
-    return dec
+    return VectorDecomposition(d, m, n, levels, filter_name, partition, tuple(bands))

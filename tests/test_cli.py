@@ -29,6 +29,7 @@ from vecwave import (
 )
 from vecwave.basisnd import catalog_manifest
 from vecwave.cli import load_manifest, main
+from vecwave.errors import FileFormatError
 
 
 def build_manifest(tmp_path, name="haar", d=2, m=2):
@@ -392,6 +393,54 @@ def test_inverse_refuses_a_nonzero_masked_slot(tmp_path, capsys):
             assert rec.read_bytes() == clean_rec.read_bytes()
 
 
+_BASE_B0 = b"base-b0,00,-1,0,approx:1:2|approx:1:2;detail:1:2|detail:1:2\n"
+_BASE_B1 = b"base-b1,00,-1,1,approx:1:2|detail:1:2;detail:1:2|approx:1:2\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    (_BASE_B0 + _BASE_B1, _BASE_B1 + _BASE_B0),
+    (b"\nbase-b0,", b"\nbase-x0,"),
+    (b"VDEC1 d=2 ", b"VDEC1 d=02 "),
+    (b" bands=8\n", b" bands=9\n"),
+    (b"w-e01-t0-b0,01,0,0,approx:1:2|detail:2:4;", b"w-e01-t0-b0,01,0,0,approx:1:2|detail:3:4;"),
+], ids=["swapped-base-lines", "renamed-key", "d=02", "bands-off-by-one", "column-scale"])
+def test_inverse_refuses_an_edited_manifest(tmp_path, capsys, old, new):
+    # the header and partition fix every other manifest line, as a basis
+    # manifest's header fixes its catalog
+    manifest = build_manifest(tmp_path, d=2, m=2)
+    sig_path, _ = write_signal(tmp_path, 2, (16, 16))
+    dec_path = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    clean = dec_path.read_bytes()
+    assert clean.count(old) == 1
+    blob = clean.replace(old, new)
+    with pytest.raises(FileFormatError, match="departs from"):
+        decomposition_from_bytes(blob)
+    dec_path.write_bytes(blob)
+    rec = tmp_path / "rec.vwav"
+    capsys.readouterr()
+    assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                 "--out", str(rec), "--inverse"]) == 2
+    assert "departs from" in capsys.readouterr().err
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("flags", [["--levels", "3"], ["--threshold", "5"], ["--threshold", "5", "--levels", "3"]])
+def test_inverse_refuses_forward_only_flags(tmp_path, capsys, flags):
+    manifest = build_manifest(tmp_path, d=1)
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    dec_path = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    rec = tmp_path / "rec.vwav"
+    capsys.readouterr()
+    assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                 "--out", str(rec), "--inverse", *flags]) == 2
+    assert "forward transform only" in capsys.readouterr().err
+    assert not rec.exists()
+
+
 def polyline_points(svg: str):
     start = svg.index('<polyline points="') + len('<polyline points="')
     pts = svg[start : svg.index('"', start)].split()
@@ -604,7 +653,7 @@ def test_huge_band_scale_is_refused_at_once(tmp_path, capsys):
     blob = re.sub(rb"detail:[0-9]+:", b"detail:%d:" % 10**12, dec_path.read_bytes(), count=1)
     dec_path.write_bytes(blob)
     assert_refused_at_once(capsys, ["transform", "--in", str(dec_path), "--manifest", manifest,
-                                    "--out", str(tmp_path / "rec.vwav"), "--inverse"], "outside 0..")
+                                    "--out", str(tmp_path / "rec.vwav"), "--inverse"], "manifest line 3 departs")
 
 
 def test_huge_partition_order_is_refused_at_once(tmp_path):

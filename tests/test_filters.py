@@ -75,6 +75,23 @@ def test_filter_axioms(name):
     assert dev["moments"] <= 1e-10
 
 
+def test_construction_computes_no_wavelet_moment(monkeypatch):
+    # filter construction and to_multiwavelet check only the sum and
+    # orthonormality axioms, which need no exact moment
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _exact_wavelet_moments(*args)
+
+    monkeypatch.setattr(vecwave.scalar, "_exact_wavelet_moments", counted)
+    vecwave.build_basis_nd(daubechies_filter(10), 1, 2)
+    assert calls == []
+    # the verify report's moment row still reads them
+    assert filter_deviations(daubechies_filter(10))["moments"] <= 1e-10
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("N", range(2, 11))
 def test_qmf_mirror_relation(N):
     f = daubechies_filter(N)

@@ -554,7 +554,7 @@ def test_missing_band_corruption_detected():
     with pytest.raises(CorruptionError):
         synthesize_vector(replace(dec, bands=dec.bands[:-1]), basis)
     # a level count that does not fit the bands, or not even the grid
-    with pytest.raises(CorruptionError, match="missing subbands"):
+    with pytest.raises(CorruptionError, match="depart from the layout"):
         synthesize_vector(replace(dec, levels=0), basis)
     for levels in (2, 10**9):
         with pytest.raises(CorruptionError, match="exceed log2"):
