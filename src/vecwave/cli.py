@@ -44,11 +44,11 @@ from .svgplot import raster_svg, step_polyline_svg
 from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, enumerate_families
 from .transform import (
     VectorSignal,
+    _decomposition_chunks,
+    _signal_chunks,
     analyze_vector,
     decomposition_from_bytes,
-    decomposition_to_bytes,
     signal_from_bytes,
-    signal_to_bytes,
     synthesize_vector,
     threshold_matrix,
 )
@@ -229,32 +229,38 @@ def _cmd_verify(args) -> int:
 def _cmd_transform(args) -> int:
     with open(args.manifest, encoding="ascii") as fh:
         basis = load_manifest(fh.read())
+    # read whole before --out is opened, which may name the same file; the
+    # decoded values view these immutable bytes
     with open(args.infile, "rb") as fh:
         data = fh.read()
     if args.inverse:
-        if args.levels is not None or args.threshold is not None:
-            raise ValueError("--levels and --threshold apply to the forward transform only")
+        if args.levels is not None or args.threshold is not None or args.norm is not None:
+            raise ValueError("--levels, --threshold and --norm apply to the forward transform only")
         dec = decomposition_from_bytes(data)
         if (dec.d, dec.m) != (basis.d, basis.m) or dec.filter_name != basis.mw.filter.name:
             raise FileFormatError(
                 f"decomposition is d={dec.d} m={dec.m} filter={dec.filter_name}, "
                 f"manifest is d={basis.d} m={basis.m} filter={basis.mw.filter.name}"
             )
-        out = signal_to_bytes(synthesize_vector(dec, basis))
+        chunks = _signal_chunks(synthesize_vector(dec, basis))
     else:
         if args.levels is None:
             raise ValueError("forward transform needs --levels")
+        if args.norm is not None and args.threshold is None:
+            raise ValueError("--norm applies only with --threshold")
         signal = signal_from_bytes(data)
         if (signal.d, signal.m) != (basis.d, basis.m):
             raise FileFormatError(
                 f"signal is d={signal.d} m={signal.m}, manifest is d={basis.d} m={basis.m}"
             )
         dec = analyze_vector(signal, basis, args.levels)
+        # the bands are fresh arrays: free the input file before thresholding
+        del data, signal
         if args.threshold is not None:
-            dec = threshold_matrix(dec, args.threshold, args.norm)
-        out = decomposition_to_bytes(dec)
+            dec = threshold_matrix(dec, args.threshold, args.norm or "frobenius")
+        chunks = _decomposition_chunks(dec)
     with open(args.out, "wb") as fh:
-        fh.write(out)
+        fh.writelines(chunks)
     print(f"wrote {args.out}")
     return 0
 
@@ -315,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--levels", type=int, default=None)
     p_tr.add_argument("--inverse", action="store_true")
     p_tr.add_argument("--threshold", type=float, default=None)
-    p_tr.add_argument("--norm", choices=("frobenius", "norm1"), default="frobenius")
+    p_tr.add_argument("--norm", choices=("frobenius", "norm1"), default=None,
+                      help="matrix norm of --threshold (default: frobenius)")
     p_tr.set_defaults(func=_cmd_transform)
 
     p_plot = sub.add_parser("plot", help="render an atom or sampled function as SVG")

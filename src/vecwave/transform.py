@@ -32,9 +32,15 @@ that does not start with exactly that text, as a basis manifest is
 rebuilt from its header and must match.
 
 Signals and bands share one ownership rule: a read-only float64 array that
-owns its memory is kept as it is, since nothing can change it under them,
-and anything else is copied.  Either way the stored array is read-only.
-Analysis and synthesis hand over their fresh results that way, uncopied.
+nothing can change under them is kept as it is, and anything else is
+copied.  That is an array that owns its memory, or a view whose memory is
+an immutable `bytes` object.  Either way the stored array is read-only.
+Analysis and synthesis hand over their fresh results that way, uncopied,
+and the decoders return views of the file's bytes, so a decoded band or
+signal keeps the whole file alive; a `bytearray` or `memoryview` input,
+which can change under a view, is copied.  The encoders list a file as
+its header and each band's buffer, uncopied: `*_to_bytes` join the list,
+and the CLI writes it without joining.
 
 Every step is a periodized orthonormal filter pair, hence exactly
 orthogonal for any even length: analysis and synthesis invert each other
@@ -92,18 +98,20 @@ def _is_pow2(n) -> bool:
 
 
 def _frozen(values) -> np.ndarray:
-    """`values` kept if a read-only float64 array owning its memory, else copied to float64.
+    """`values` kept if a read-only float64 array nothing can write, else copied to float64.
 
-    The ownership rule of `VectorSignal` and `Band`; each marks the result
-    read-only once it is checked.
+    Nothing can write a read-only array that owns its memory, nor a view
+    whose chain of bases ends in an immutable `bytes` object: numpy refuses
+    to make such a view writeable.  A view of any other array or buffer is
+    copied.  The ownership rule of `VectorSignal` and `Band`; each marks the
+    result read-only once it is checked.
     """
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.float64
-        and values.flags.owndata
-        and not values.flags.writeable
-    ):
-        return values
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.owndata:
+            base = base.base
+        if base is values or isinstance(base, bytes):
+            return values
     return np.array(values, dtype=float)
 
 
@@ -112,8 +120,8 @@ class VectorSignal:
     """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n.
 
     values follows the ownership rule of `Band`: a read-only float64 array
-    that owns its memory is kept, anything else is copied, and the stored
-    array is read-only.
+    that owns its memory, or a view of an immutable `bytes` object, is
+    kept, anything else is copied, and the stored array is read-only.
     """
 
     values: np.ndarray
@@ -127,7 +135,9 @@ class VectorSignal:
         n = values.shape[1]
         if any(size != n for size in values.shape[1:]) or not _is_pow2(n):
             raise ValueError(f"space axes must share one power-of-two length, got {values.shape[1:]}")
-        if not np.isfinite(values).all():
+        # min and max propagate NaN, so both are finite only when every value
+        # is; unlike np.isfinite they allocate nothing the size of the signal
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("signal holds a NaN or infinite value")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -302,8 +312,10 @@ class Band:
     at or beyond a column's length are structural zeros (the validity
     mask).  level is the vector level t, or -1 for the base family.
     values is kept when it is a read-only float64 array that owns its
-    memory, since nothing can change it under the band; anything else is
-    copied.  The stored array is read-only.
+    memory or views an immutable `bytes` object, since nothing can change
+    it under the band; anything else is copied.  The stored array is
+    read-only.  A band decoded from a file's bytes views them, so holding
+    it keeps the whole file alive.
     """
 
     key: str
@@ -578,7 +590,8 @@ def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> 
         pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
     (a,) = pieces.values()
     # a fresh pyramid output is kept by VectorSignal; with no steps (m = 1,
-    # levels = 0) `a` is a view of band storage, which it copies
+    # levels = 0) `a` is a view of band storage, which it copies unless
+    # that storage is a file's bytes
     a.flags.writeable = False
     return VectorSignal(a)
 
@@ -637,9 +650,14 @@ _DEC_RE = re.compile(
 )
 
 
-def signal_to_bytes(signal: VectorSignal) -> bytes:
+def _signal_chunks(signal: VectorSignal) -> list:
+    """A `.vwav` as [header, payload buffer]; joined, they are its bytes."""
     header = f"VWAV1 d={signal.d} m={signal.m} n={signal.n} dtype=f64le\n"
-    return b"".join([header.encode("ascii"), np.ascontiguousarray(signal.values, dtype="<f8")])
+    return [header.encode("ascii"), np.ascontiguousarray(signal.values, dtype="<f8")]
+
+
+def signal_to_bytes(signal: VectorSignal) -> bytes:
+    return b"".join(_signal_chunks(signal))
 
 
 def signal_from_bytes(data: bytes) -> VectorSignal:
@@ -649,11 +667,11 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
     d, m, n = (int(match.group(i)) for i in (1, 2, 3))
     if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid signal geometry d={d} m={m} n={n}")
-    payload = memoryview(data)[match.end():]
     expected = 8 * m * n**d
-    if len(payload) != expected:
-        raise FileFormatError(f"payload holds {len(payload)} bytes, header implies {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape((m,) + (n,) * d)
+    if len(data) - match.end() != expected:
+        raise FileFormatError(f"payload holds {len(data) - match.end()} bytes, header implies {expected}")
+    # a view of `data` itself, which VectorSignal keeps when it is `bytes`
+    values = np.frombuffer(data, dtype="<f8", offset=match.end()).reshape((m,) + (n,) * d)
     try:
         return VectorSignal(values)
     except ValueError as exc:
@@ -681,12 +699,15 @@ def decomposition_manifest(dec: VectorDecomposition) -> str:
     )
 
 
+def _decomposition_chunks(dec: VectorDecomposition) -> list:
+    """A `.vdec` as [manifest, band buffers...]; joined, they are its bytes."""
+    return [decomposition_manifest(dec).encode("ascii")] + [
+        np.ascontiguousarray(band.values, dtype="<f8") for band in dec.bands
+    ]
+
+
 def decomposition_to_bytes(dec: VectorDecomposition) -> bytes:
-    # one join copies each band once, straight from its buffer
-    return b"".join(
-        [decomposition_manifest(dec).encode("ascii")]
-        + [np.ascontiguousarray(band.values, dtype="<f8") for band in dec.bands]
-    )
+    return b"".join(_decomposition_chunks(dec))
 
 
 def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
@@ -695,7 +716,8 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     Only the header and the partition line are parsed.  The file must then
     start with exactly the manifest `decomposition_manifest` writes for the
     `_layout` they fix, so any other edit of the manifest is refused, and
-    the payload must hold exactly the bands of that layout.
+    the payload must hold exactly the bands of that layout.  The bands
+    view `data` when it is `bytes`, and copy any other buffer.
     """
     newline = data.find(b"\n")
     second = data.find(b"\n", newline + 1)
@@ -742,7 +764,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     expected = len(head) + 8 * sum(math.prod(shape) for shape in shapes)
     if len(data) != expected:
         raise FileFormatError(f"file holds {len(data)} bytes, its manifest implies {expected}")
-    # frombuffer copies nothing; each band is copied once, by Band
+    # frombuffer copies nothing, and Band keeps a view of `bytes` as it is
     offset = len(head)
     bands = []
     for (key, eps, level, block, cols), shape in zip(layout, shapes):

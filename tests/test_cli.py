@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,94 @@ def test_transform_norm1_threshold_flag(tmp_path):
     assert out.read_bytes() == decomposition_to_bytes(expected)
 
 
+def test_norm_needs_a_threshold(tmp_path, capsys):
+    manifest = build_manifest(tmp_path, d=1)
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    out = tmp_path / "dec.vdec"
+    base = ["transform", "--in", str(sig_path), "--manifest", str(manifest), "--levels", "1"]
+    assert main(base + ["--out", str(out), "--norm", "norm1"]) == 2
+    assert "--norm" in capsys.readouterr().err
+    assert not out.exists()
+    # naming the default norm changes no byte
+    plain, named = tmp_path / "plain.vdec", tmp_path / "named.vdec"
+    assert main(base + ["--threshold", "0.5", "--out", str(plain)]) == 0
+    assert main(base + ["--threshold", "0.5", "--norm", "frobenius", "--out", str(named)]) == 0
+    assert plain.read_bytes() == named.read_bytes()
+
+
+@pytest.mark.parametrize("name, d, m, shape, levels", [
+    ("haar", 2, 3, (32, 32), 1),
+    ("db4", 1, 2, (256,), 2),
+    ("db4", 3, 2, (16, 16, 16), 1),
+])
+def test_transform_writes_the_in_process_bytes(tmp_path, name, d, m, shape, levels):
+    manifest = build_manifest(tmp_path, name=name, d=d, m=m)
+    basis = load_manifest(manifest.read_text())
+    sig_path, sig = write_signal(tmp_path, m, shape)
+    dec = analyze_vector(sig, basis, levels)
+    for threshold in (None, 0.5):
+        flags = [] if threshold is None else ["--threshold", str(threshold)]
+        want = dec if threshold is None else threshold_matrix(dec, threshold)
+        dec_path, rec_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav"
+        assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                     "--levels", str(levels), *flags, "--out", str(dec_path)]) == 0
+        assert dec_path.read_bytes() == decomposition_to_bytes(want)
+        assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                     "--inverse", "--out", str(rec_path)]) == 0
+        assert rec_path.read_bytes() == signal_to_bytes(synthesize_vector(want, basis))
+
+
+def test_transform_out_may_name_its_input(tmp_path):
+    # the input is read whole before --out truncates it; views of a mapped
+    # file would see the truncation
+    manifest = build_manifest(tmp_path, name="db4", d=2, m=2)
+    basis = load_manifest(manifest.read_text())
+    path, sig = write_signal(tmp_path, 2, (32, 32))
+    dec = analyze_vector(sig, basis, 1)
+    assert main(["transform", "--in", str(path), "--manifest", str(manifest),
+                 "--levels", "1", "--out", str(path)]) == 0
+    assert path.read_bytes() == decomposition_to_bytes(dec)
+    assert main(["transform", "--in", str(path), "--manifest", str(manifest),
+                 "--inverse", "--out", str(path)]) == 0
+    assert path.read_bytes() == signal_to_bytes(synthesize_vector(dec, basis))
+
+
+def _traced_main(argv) -> int:
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_peaks_a_payload_below_copying_codecs(tmp_path, capsys):
+    # haar d=2 m=3 256^2, two levels: a .vwav of 1.57 MB of samples and a
+    # 4.50 MB .vdec.  tracemalloc peaks of this test's second main() call,
+    # numpy 2.4.6: codecs that copy every decoded payload and join every
+    # encoded one peaked at 12.49 MB forward and 14.57 MB inverse; decoded
+    # views of the file's bytes, unjoined writes and a forward that frees
+    # its input before thresholding peak at 9.34 MB and 10.07 MB.  Each
+    # bound is the copying figure less one payload of signal samples: a
+    # forward that keeps its input to the end, or an inverse that copies
+    # the .vdec's bands, fails it
+    copying = {"forward": 12.49e6, "inverse": 14.57e6}
+    payload = 8 * 3 * 256**2
+    manifest = build_manifest(tmp_path, d=2, m=3)
+    sig_path, _ = write_signal(tmp_path, 3, (256, 256))
+    dec_path, rec_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav"
+    peaks = {
+        "forward": _traced_main(["transform", "--in", str(sig_path), "--manifest", str(manifest), "--levels", "2",
+                                 "--threshold", "0.25", "--out", str(dec_path)]),
+        "inverse": _traced_main(["transform", "--in", str(dec_path), "--manifest", str(manifest), "--inverse",
+                                 "--out", str(rec_path)]),
+    }
+    capsys.readouterr()
+    for command, peak in peaks.items():
+        assert peak < copying[command] - payload, (command, peak)
+
+
 def test_transform_header_mismatch(tmp_path, capsys):
     manifest = build_manifest(tmp_path, d=2)
     sig_path, _ = write_signal(tmp_path, 2, (64,))
@@ -426,7 +515,8 @@ def test_inverse_refuses_an_edited_manifest(tmp_path, capsys, old, new):
     assert not rec.exists()
 
 
-@pytest.mark.parametrize("flags", [["--levels", "3"], ["--threshold", "5"], ["--threshold", "5", "--levels", "3"]])
+@pytest.mark.parametrize("flags", [["--levels", "3"], ["--threshold", "5"], ["--threshold", "5", "--levels", "3"],
+                                   ["--norm", "frobenius"]])
 def test_inverse_refuses_forward_only_flags(tmp_path, capsys, flags):
     manifest = build_manifest(tmp_path, d=1)
     sig_path, _ = write_signal(tmp_path, 2, (64,))

@@ -1,6 +1,7 @@
 """Tests for the matrix-coefficient transform and its file formats."""
 
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from vecwave.basis1d import expand_factor
 from vecwave.basisnd import FamilyND
 from vecwave.scalar import ScalarFilter
 from vecwave.tensor import factor_component
-from vecwave.transform import Band, _axis_analyze_step, _axis_synthesize_step, _unpack_bands
+from vecwave.transform import (
+    Band,
+    _axis_analyze_step,
+    _axis_synthesize_step,
+    _decomposition_chunks,
+    _signal_chunks,
+    _unpack_bands,
+)
 
 HAAR = filter_by_name("haar")
 DB2 = filter_by_name("db2")
@@ -747,6 +755,121 @@ def test_vector_signal_keeps_frozen_owned_arrays_and_copies_others():
         assert_array_equal(sig.values, np.ones((2, 8)))
         base[...] = 1.0
         live[...] = 1.0
+
+
+def _bytes_view(blob: bytes) -> np.ndarray:
+    return np.frombuffer(blob, dtype=np.uint8)
+
+
+def test_decoders_view_immutable_bytes_read_only():
+    rng = np.random.default_rng(30)
+    basis = build_basis_nd(DB2, 2, 2)
+    sig = VectorSignal(rng.standard_normal((2, 32, 32)))
+    dec = analyze_vector(sig, basis, 1)
+    vdec, vwav = decomposition_to_bytes(dec), signal_to_bytes(sig)
+    decoded = [(band.values, vdec) for band in decomposition_from_bytes(vdec).bands]
+    decoded.append((signal_from_bytes(vwav).values, vwav))
+    for values, blob in decoded:
+        assert np.shares_memory(values, _bytes_view(blob))
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values.flags.writeable = True
+    # with no scalar step synthesis hands over a view of the base band,
+    # which stays a view of the file when the band is one
+    basis1 = build_basis_nd(HAAR, 2, 1)
+    blob = decomposition_to_bytes(analyze_vector(VectorSignal(rng.standard_normal((1, 8, 8))), basis1, 0))
+    rec = synthesize_vector(decomposition_from_bytes(blob), basis1)
+    assert np.shares_memory(rec.values, _bytes_view(blob)) and not rec.values.flags.writeable
+
+
+def test_decoders_copy_writable_buffers():
+    rng = np.random.default_rng(31)
+    basis = build_basis_nd(DB2, 2, 2)
+    sig = VectorSignal(rng.standard_normal((2, 32, 32)))
+    dec = analyze_vector(sig, basis, 1)
+    vdec, vwav = decomposition_to_bytes(dec), signal_to_bytes(sig)
+    # (decoder, its argument, the bytearray under it); a read-only
+    # memoryview of a bytearray is copied too, since the bytearray can change
+    cases = []
+    for decode, blob in ((signal_from_bytes, vwav), (decomposition_from_bytes, vdec)):
+        buf = bytearray(blob)
+        cases.append((decode, buf, buf))
+    for wrap in (memoryview, lambda b: memoryview(b).toreadonly()):
+        buf = bytearray(vwav)
+        cases.append((signal_from_bytes, wrap(buf), buf))
+    for decode, arg, buf in cases:
+        got = decode(arg)
+        arrays = [got.values] if decode is signal_from_bytes else [band.values for band in got.bands]
+        before = [a.copy() for a in arrays]
+        assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+        # overwrite every payload byte
+        tail = sum(a.nbytes for a in arrays)
+        buf[len(buf) - tail:] = np.full(tail // 8, 7.0).tobytes()
+        for a, b in zip(arrays, before):
+            assert_array_equal(a, b)
+
+
+def test_encoders_hand_over_band_buffers_uncopied():
+    rng = np.random.default_rng(32)
+    basis = build_basis_nd(HAAR, 2, 3)
+    sig = VectorSignal(rng.standard_normal((3, 64, 64)))
+    dec = analyze_vector(sig, basis, 1)
+    chunks = _decomposition_chunks(dec)
+    assert b"".join(chunks) == decomposition_to_bytes(dec) == _encode_reference(dec)
+    assert len(chunks) == 1 + len(dec.bands)
+    assert all(np.shares_memory(chunk, band.values) for chunk, band in zip(chunks[1:], dec.bands))
+    header, payload = _signal_chunks(sig)
+    assert header + payload.tobytes() == signal_to_bytes(sig)
+    assert np.shares_memory(payload, sig.values)
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db10"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_synthesis_of_misaligned_byte_views_matches_aligned_arrays(name, d):
+    # a .vdec's bands start at len(manifest) mod 8 in the file's bytes; lay
+    # the same payload after 0..7 pad bytes, so the band views sit at every
+    # offset mod 8, and require the bits of synthesis from aligned arrays
+    basis = build_basis_nd(filter_by_name(name), d, 2)
+    n = {1: 64, 2: 16, 3: 8}[d]
+    x = _with_signed_zeros(np.random.default_rng(33 + d), (2,) + (n,) * d)
+    dec = analyze_vector(VectorSignal(x), basis, 1)
+    want = synthesize_vector(dec, basis).values
+    _assert_bitwise(synthesize_vector(decomposition_from_bytes(decomposition_to_bytes(dec)), basis).values, want)
+    payload = b"".join(band.values.tobytes() for band in dec.bands)
+    residues = set()
+    for pad in range(8):
+        blob = bytes(pad) + payload
+        bands, offset = [], pad
+        for band in dec.bands:
+            view = np.frombuffer(blob, dtype="<f8", count=band.values.size, offset=offset).reshape(band.values.shape)
+            offset += view.nbytes
+            bands.append(replace(band, values=view))
+            assert bands[-1].values is view
+            residues.add(view.ctypes.data % 8)
+        _assert_bitwise(synthesize_vector(replace(dec, bands=tuple(bands)), basis).values, want)
+    assert residues == set(range(8))
+
+
+def _traced_peak(decode, blob) -> int:
+    decode(blob)
+    tracemalloc.start()
+    try:
+        decode(blob)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decoders_allocate_no_copy_of_the_payload():
+    # haar d=2 m=3 256^2, two levels: a 4.50 MB .vdec and a 1.57 MB .vwav.
+    # Copying decoders peaked at 4.67 MB and 1.77 MB; the views peak at
+    # 0.24 MB (one band's finiteness mask) and under 0.01 MB
+    basis = build_basis_nd(HAAR, 2, 3)
+    sig = VectorSignal(np.random.default_rng(34).standard_normal((3, 256, 256)))
+    vdec = decomposition_to_bytes(analyze_vector(sig, basis, 2))
+    vwav = signal_to_bytes(sig)
+    assert _traced_peak(decomposition_from_bytes, vdec) < 0.1 * len(vdec)
+    assert _traced_peak(signal_from_bytes, vwav) < 0.1 * len(vwav)
 
 
 def test_signal_bytes_round_trip():
