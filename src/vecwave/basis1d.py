@@ -32,6 +32,7 @@ from .scalar import (
     _dot,
     _filter_key,
     _finest_level,
+    _frozen,
     scaled_atom_sample,
 )
 from .star import MatrixM
@@ -99,10 +100,9 @@ class MatrixFilter:
     dilation: int
 
     def __post_init__(self):
-        t = np.array(self.taps, dtype=float)
+        t = _frozen(self.taps)
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise ValueError(f"taps must have shape (K, m, m), got {t.shape}")
-        t.flags.writeable = False
         object.__setattr__(self, "taps", t)
 
     @property

@@ -265,10 +265,17 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+# the plot flags that act only on a --manifest atom, and their defaults
+_ATOM_FLAGS = {"channel": 1, "level": 0, "j": 10}
+
+
 def _cmd_plot(args) -> int:
     if (args.function is None) == (args.manifest is None):
         raise ValueError("pass exactly one of --function or --manifest/--family")
     if args.function is not None:
+        unused = [flag for flag in ("family", *_ATOM_FLAGS) if getattr(args, flag) is not None]
+        if unused:
+            raise ValueError("--function does not use " + ", ".join("--" + flag for flag in unused))
         with open(args.function, encoding="ascii") as fh:
             sample = sampled_from_csv(fh.read())
         svg = step_polyline_svg(sample, caption=f"sampled function level={sample.level}")
@@ -280,6 +287,7 @@ def _cmd_plot(args) -> int:
         if basis.d > 2:
             raise ValueError(f"plotting d={basis.d} atoms is not supported")
         family = basis.family_by_name(args.family)
+        vars(args).update({flag: default for flag, default in _ATOM_FLAGS.items() if getattr(args, flag) is None})
         if not 1 <= args.channel <= basis.m:
             raise ValueError(f"channel must lie in 1..{basis.m}, got {args.channel}")
         atom = make_atom(family, args.level, (0,) * basis.d)
@@ -328,10 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="render an atom or sampled function as SVG")
     p_plot.add_argument("--manifest", default=None)
     p_plot.add_argument("--family", default=None)
-    p_plot.add_argument("--channel", type=int, default=1)
-    p_plot.add_argument("--level", type=int, default=0)
+    p_plot.add_argument("--channel", type=int, default=None, help="channel of the atom (default: 1)")
+    p_plot.add_argument("--level", type=int, default=None, help="vector level of the atom (default: 0)")
     p_plot.add_argument("--function", default=None, help="sampled-function CSV instead of an atom")
-    p_plot.add_argument("--j", type=int, default=10, help="grid level of the atom's samples (default: 10)")
+    p_plot.add_argument("--j", type=int, default=None, help="grid level of the atom's samples (default: 10)")
     p_plot.add_argument("--out", required=True)
     p_plot.set_defaults(func=_cmd_plot)
     return parser
@@ -345,10 +353,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except VecwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (VecwaveError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,6 +53,29 @@ MAX_TABLE_SAMPLES = 1 << 26
 MAX_GRID_LEVEL = 1022
 
 
+def _frozen(values) -> np.ndarray:
+    """`values` kept if a read-only float64 array on memory of its own or of a `bytes`, else copied read-only.
+
+    The ownership rule of every value type: `ScalarFilter`,
+    `SampledFunction`, `star.MatrixM`, `star.VectorSampledFunction`,
+    `basis1d.MatrixFilter`, `transform.VectorSignal` and `transform.Band`.
+    numpy refuses to make a view of `bytes` writeable.  Anything else is
+    copied, so later writes to the caller's array never reach the value; a
+    producer hands over a fresh result uncopied by marking it read-only.
+    Whoever holds a kept array that owns its memory can set it writeable
+    again, so a caller who means to write its array later must pass a copy.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.owndata:
+            base = base.base
+        if base is values or isinstance(base, bytes):
+            return values
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ScalarFilter:
     """An orthonormal two-band filter pair with integer start offsets."""
@@ -65,13 +88,9 @@ class ScalarFilter:
     vanishing_moments: int
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        h.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        if len(h) != len(g):
+        object.__setattr__(self, "h", _frozen(self.h))
+        object.__setattr__(self, "g", _frozen(self.g))
+        if len(self.h) != len(self.g):
             raise ValueError("filter pair must have equal lengths")
 
     @property
@@ -206,9 +225,7 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values))
 
     @property
     def step(self) -> float:
@@ -325,7 +342,7 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
         _add_taps(table, filt.g, filt.g_start, t, phi, stride, support_start(filt, which) * 2 ** (t + 1))
     else:
         if level < 0:
-            table, level = _integer_values(filt)[:-1], 0  # left-closed: drop phi(L-1) = 0
+            table, level = _integer_values(filt)[:-1].copy(), 0  # left-closed: drop phi(L-1) = 0
         for j in range(level, J):
             new = np.zeros(2 * len(table))
             new[0::2] = table
@@ -393,6 +410,7 @@ def scaled_atom_sample(
     values = _table(filt, which, J - scale)
     if scale:
         values = 2.0 ** (scale / 2.0) * values
+        values.flags.writeable = False
     # the table guard above has bounded J - scale
     start = (support_start(filt, which) + k) * 2 ** (J - scale)
     return SampledFunction(start, J, values)

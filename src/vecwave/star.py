@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .scalar import _frozen
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,11 @@ class MatrixM:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
+        e = _frozen(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise DimensionError(f"matrix must be square, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("matrix entries must be finite")
-        e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
     @property
@@ -61,7 +61,7 @@ class VectorSampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _frozen(self.values)
         if v.ndim < 2:
             raise DimensionError("values must have shape (m, spatial...)")
         try:
@@ -72,7 +72,6 @@ class VectorSampledFunction:
             raise DimensionError(
                 f"start has {len(start)} axes, values have {v.ndim - 1}"
             )
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "start", start)
 

@@ -31,16 +31,12 @@ and the partition line, writes the manifest they fix and refuses a file
 that does not start with exactly that text, as a basis manifest is
 rebuilt from its header and must match.
 
-Signals and bands share one ownership rule: a read-only float64 array that
-nothing can change under them is kept as it is, and anything else is
-copied.  That is an array that owns its memory, or a view whose memory is
-an immutable `bytes` object.  Either way the stored array is read-only.
-Analysis and synthesis hand over their fresh results that way, uncopied,
-and the decoders return views of the file's bytes, so a decoded band or
-signal keeps the whole file alive; a `bytearray` or `memoryview` input,
-which can change under a view, is copied.  The encoders list a file as
-its header and each band's buffer, uncopied: `*_to_bytes` join the list,
-and the CLI writes it without joining.
+Signals and bands own their arrays by `scalar._frozen`'s rule.  Analysis
+and synthesis hand over their fresh results uncopied, and the decoders
+return views of the file's bytes, so a decoded band or signal keeps the
+whole file alive; any input other than `bytes` is copied.  The encoders
+list a file as its header and each band's buffer, uncopied: `*_to_bytes`
+join the list, and the CLI writes it without joining.
 
 Every step is a periodized orthonormal filter pair, hence exactly
 orthogonal for any even length: analysis and synthesis invert each other
@@ -71,7 +67,7 @@ import numpy as np
 from .basis1d import VectorBasis1D, scaling_ladder, to_multiwavelet, wavelet_ladder
 from .basisnd import BasisND, Partition, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
-from .scalar import ScalarFilter
+from .scalar import ScalarFilter, _frozen
 from .tensor import MAX_SAMPLE_D, ladder_component
 
 __all__ = [
@@ -97,31 +93,11 @@ def _is_pow2(n) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _frozen(values) -> np.ndarray:
-    """`values` kept if a read-only float64 array nothing can write, else copied to float64.
-
-    Nothing can write a read-only array that owns its memory, nor a view
-    whose chain of bases ends in an immutable `bytes` object: numpy refuses
-    to make such a view writeable.  A view of any other array or buffer is
-    copied.  The ownership rule of `VectorSignal` and `Band`; each marks the
-    result read-only once it is checked.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
-        base = values
-        while isinstance(base, np.ndarray) and not base.flags.owndata:
-            base = base.base
-        if base is values or isinstance(base, bytes):
-            return values
-    return np.array(values, dtype=float)
-
-
 @dataclass(frozen=True)
 class VectorSignal:
     """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n.
 
-    values follows the ownership rule of `Band`: a read-only float64 array
-    that owns its memory, or a view of an immutable `bytes` object, is
-    kept, anything else is copied, and the stored array is read-only.
+    values is read-only and owned by `scalar._frozen`'s rule.
     """
 
     values: np.ndarray
@@ -139,7 +115,6 @@ class VectorSignal:
         # is; unlike np.isfinite they allocate nothing the size of the signal
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("signal holds a NaN or infinite value")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -311,11 +286,9 @@ class Band:
     describes column r as one (kind, scale, length) triple per axis; slots
     at or beyond a column's length are structural zeros (the validity
     mask).  level is the vector level t, or -1 for the base family.
-    values is kept when it is a read-only float64 array that owns its
-    memory or views an immutable `bytes` object, since nothing can change
-    it under the band; anything else is copied.  The stored array is
-    read-only.  A band decoded from a file's bytes views them, so holding
-    it keeps the whole file alive.
+    values is read-only and owned by `scalar._frozen`'s rule; a band
+    decoded from a file's bytes views them, so holding it keeps the whole
+    file alive.
     """
 
     key: str
@@ -356,7 +329,6 @@ class Band:
                     raise ValueError(f"length {length} does not match scale {scale}")
         if not np.isfinite(values).all():
             raise ValueError("band holds a NaN or infinite value")
-        values.flags.writeable = False
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
@@ -648,6 +620,8 @@ _SIGNAL_RE = re.compile(rb"^VWAV1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}
 _DEC_RE = re.compile(
     r"^VDEC1 d=([0-9]{1,20}) m=([0-9]{1,20}) n=([0-9]{1,20}) levels=([0-9]{1,20}) filter=(\S+) bands=[0-9]{1,20}$"
 )
+# a .vdec's header and partition line; `re` reads any bytes-like input
+_LINES_RE = re.compile(rb"([^\n]*)\n([^\n]*)\n")
 
 
 def _signal_chunks(signal: VectorSignal) -> list:
@@ -716,15 +690,15 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     Only the header and the partition line are parsed.  The file must then
     start with exactly the manifest `decomposition_manifest` writes for the
     `_layout` they fix, so any other edit of the manifest is refused, and
-    the payload must hold exactly the bands of that layout.  The bands
-    view `data` when it is `bytes`, and copy any other buffer.
+    the payload must hold exactly the bands of that layout.  `data` may be
+    any bytes-like object; the bands view it when it is `bytes`, and copy
+    any other buffer.
     """
-    newline = data.find(b"\n")
-    second = data.find(b"\n", newline + 1)
-    if newline < 0 or second < 0:
+    lines = _LINES_RE.match(data)
+    if not lines:
         raise FileFormatError("missing VDEC1 header or partition line")
     try:
-        header, part_line = data[:newline].decode("ascii"), data[newline + 1:second].decode("ascii")
+        header, part_line = (line.decode("ascii") for line in lines.groups())
     except UnicodeDecodeError as exc:
         raise FileFormatError("manifest is not ASCII") from exc
     match = _DEC_RE.match(header)
@@ -753,7 +727,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     layout = _layout(d, m, levels, s0, partition.blocks)
     text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
     head = text.encode("ascii")
-    if not data.startswith(head):
+    if data[: len(head)] != head:
         first = next((i for i, (a, b) in enumerate(zip(data, head)) if a != b), len(data))
         line = head.count(b"\n", 0, first)
         raise FileFormatError(

@@ -692,6 +692,29 @@ def test_plot_rejects_bad_requests(tmp_path, capsys):
     assert "plotting d=3 atoms is not supported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, code, named", [
+    (["--function", "fn.csv", "--family", "Psi1"], 2, "--family"),
+    (["--function", "fn.csv", "--channel", "7", "--level", "9", "--j", "3"], 2, "--channel, --level, --j"),
+    (["--function", "fn.csv", "--channel", "1"], 2, "--channel"),
+    (["--function", "fn.csv", "--level", "0"], 2, "--level"),
+    (["--function", "fn.csv", "--j", "10"], 2, "--j"),
+    (["--function", "fn.csv"], 0, None),
+    (["--manifest", "basis.txt", "--family", "Psi1"], 0, None),
+    (["--manifest", "basis.txt", "--family", "Psi1", "--channel", "2", "--level", "1", "--j", "6"], 0, None),
+])
+def test_plot_refuses_the_flags_its_mode_does_not_use(tmp_path, capsys, monkeypatch, flags, code, named):
+    (tmp_path / "basis.txt").write_text(catalog_manifest(build_basis_nd(haar_filter(), 1, 2)))
+    (tmp_path / "fn.csv").write_text(sampled_to_csv(refine_sample(haar_filter(), "scaling", 2)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", *flags, "--out", "plot.svg"]) == code
+    err = capsys.readouterr().err
+    if named is None:
+        assert err == "" and (tmp_path / "plot.svg").exists()
+    else:
+        assert f"--function does not use {named}" in err
+        assert not (tmp_path / "plot.svg").exists()
+
+
 def test_plot_refuses_an_oversized_table(tmp_path, capsys):
     manifest = build_manifest(tmp_path, d=1, m=1)
     out = tmp_path / "phi.svg"

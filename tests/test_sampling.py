@@ -488,18 +488,39 @@ def test_scale0_atoms_share_the_cached_tables(monkeypatch):
             assert scaled_atom_sample(filt, which, 0, k, level).values is scalar._table(filt, which, level)
 
 
+@pytest.mark.parametrize("name", ["haar", "db2", "db5"])
+def test_scale0_atom_is_the_cached_table_at_every_level(name, monkeypatch):
+    """Asked in ascending order, every level is the cached one, level 0
+    included, where phi's table is cut from the integer-grid values."""
+    monkeypatch.setattr(scalar, "_table_cache", {})
+    filt = filter_by_name(name)
+    for which in ("scaling", "wavelet"):
+        for J in range(6):
+            assert scaled_atom_sample(filt, which, 0, 1, J).values is scalar._table(filt, which, J)
+
+
 @pytest.mark.parametrize("name", ["haar", "db2", "db7"])
 @pytest.mark.parametrize("which", ["scaling", "wavelet"])
-def test_dilated_atom_is_the_scaled_table(name, which):
+def test_dilated_atom_is_the_scaled_table(name, which, monkeypatch):
     """At scale s > 0 the samples are 2**(s/2) times the level J - s table,
-    bit for bit, and read-only like the table itself."""
+    bit for bit, and read-only like the table itself.  They are formed
+    once: `SampledFunction` keeps them uncopied."""
     filt = filter_by_name(name)
+    frozen, kept = scalar._frozen, []
+
+    def spy(values):
+        out = frozen(values)
+        kept.append(out is values)
+        return out
+
+    monkeypatch.setattr(scalar, "_frozen", spy)
     J = 9
     for s in (1, 2, 5, J):
         sample = scaled_atom_sample(filt, which, s, 2, J)
         table = scalar._table(filt, which, J - s)
         assert sample.values.tobytes() == (2.0 ** (s / 2.0) * table).tobytes()
         assert sample.values is not table
+        assert kept.pop() and not kept
         assert not sample.values.flags.writeable
         with pytest.raises(ValueError):
             sample.values[0] = 1.0

@@ -31,9 +31,10 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
-from vecwave.basis1d import expand_factor
+from vecwave.basis1d import MatrixFilter, expand_factor
 from vecwave.basisnd import FamilyND
-from vecwave.scalar import ScalarFilter
+from vecwave.scalar import SampledFunction, ScalarFilter
+from vecwave.star import MatrixM, VectorSampledFunction
 from vecwave.tensor import factor_component
 from vecwave.transform import (
     Band,
@@ -694,22 +695,6 @@ def test_threshold_and_encoder_match_copying_forms_bytewise():
         assert [band.values.tobytes() for band in dec.bands] == before
 
 
-def test_band_keeps_frozen_owned_arrays_and_copies_others():
-    def band(values):
-        return Band("w", (1,), 0, 0, ((("detail", 0, 1),),), values)
-
-    frozen = np.ones((1, 1, 1))
-    frozen.flags.writeable = False
-    assert band(frozen).values is frozen
-    live = np.ones((1, 1, 1))
-    kept = band(live)
-    live[0, 0, 0] = 2.0
-    assert kept.values[0, 0, 0] == 1.0 and not kept.values.flags.writeable
-    view = np.ones((1, 1, 2))[..., :1]
-    view.flags.writeable = False
-    assert band(view).values.flags.owndata
-
-
 def test_synthesis_hands_over_its_own_read_only_result():
     rng = np.random.default_rng(16)
     for basis, shape, levels in (
@@ -734,27 +719,52 @@ def test_synthesis_without_steps_copies_band_storage():
     assert_array_equal(rec.values, x)
 
 
-def test_vector_signal_keeps_frozen_owned_arrays_and_copies_others():
-    frozen = np.ones((2, 8))
-    frozen.flags.writeable = False
-    assert VectorSignal(frozen).values is frozen
+# per value type: a constructor from one values array, the arrays the
+# value stores, and a shape it accepts
+_VALUE_TYPES = {
+    "ScalarFilter": (lambda v: ScalarFilter("t", v, 0, v, 0, 1), lambda f: [f.h, f.g], (4,)),
+    "SampledFunction": (lambda v: SampledFunction(0, 2, v), lambda f: [f.values], (4,)),
+    "MatrixM": (MatrixM, lambda a: [a.entries], (2, 2)),
+    "VectorSampledFunction": (lambda v: VectorSampledFunction((0,), 2, v), lambda f: [f.values], (2, 4)),
+    "MatrixFilter": (lambda v: MatrixFilter(v, 0, 4), lambda f: [f.taps], (3, 2, 2)),
+    "VectorSignal": (VectorSignal, lambda s: [s.values], (2, 8)),
+    "Band": (lambda v: Band("w", (1,), 0, 0, ((("detail", 0, 1),),), v), lambda b: [b.values], (1, 1, 1)),
+}
 
-    base = np.ones((2, 16))
-    readonly_view = base[:, :8]
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_value_types_keep_frozen_owned_arrays_and_copy_others(name):
+    make, stored, shape = _VALUE_TYPES[name]
+    # kept: a read-only float64 array that owns its memory, and a view of immutable bytes
+    frozen = np.ones(shape)
+    frozen.flags.writeable = False
+    bytes_view = np.frombuffer(np.ones(shape).tobytes()).reshape(shape)
+    for arg in (frozen, bytes_view):
+        arrays = stored(make(arg))
+        assert all(a is arg for a in arrays)
+
+    # copied: a writable array, views of another array, float32, a list
+    live = np.ones(shape)
+    base = np.ones(shape + (2,))
+    readonly_view = base[..., 0]
     readonly_view.flags.writeable = False
-    float32 = np.ones((2, 8), dtype=np.float32)
+    float32 = np.ones(shape, dtype=np.float32)
     float32.flags.writeable = False
-    live = np.ones((2, 8))
-    for arg in (live, base[:, 8:], readonly_view, float32, [[1.0] * 8] * 2):
-        sig = VectorSignal(arg)
-        assert sig.values.flags.owndata and not sig.values.flags.writeable
-        assert sig.values.dtype == np.float64
-        assert not np.shares_memory(sig.values, base) and not np.shares_memory(sig.values, live)
-        base[...] = 5.0
+    for arg in (live, base[..., 1], readonly_view, float32, np.ones(shape).tolist()):
+        arrays = stored(make(arg))
+        # the caller's array stays as it was, writable or not
+        assert live.flags.writeable and base.flags.writeable
+        assert all(a.flags.owndata and a.dtype == np.float64 for a in arrays)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in (live, base))
         live[...] = 5.0
-        assert_array_equal(sig.values, np.ones((2, 8)))
-        base[...] = 1.0
+        base[...] = 5.0
+        for a in arrays:
+            assert_array_equal(a, np.ones(shape))
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 2.0
         live[...] = 1.0
+        base[...] = 1.0
 
 
 def _bytes_view(blob: bytes) -> np.ndarray:
@@ -795,8 +805,9 @@ def test_decoders_copy_writable_buffers():
         buf = bytearray(blob)
         cases.append((decode, buf, buf))
     for wrap in (memoryview, lambda b: memoryview(b).toreadonly()):
-        buf = bytearray(vwav)
-        cases.append((signal_from_bytes, wrap(buf), buf))
+        for decode, blob in ((signal_from_bytes, vwav), (decomposition_from_bytes, vdec)):
+            buf = bytearray(blob)
+            cases.append((decode, wrap(buf), buf))
     for decode, arg, buf in cases:
         got = decode(arg)
         arrays = [got.values] if decode is signal_from_bytes else [band.values for band in got.bands]
