@@ -19,6 +19,7 @@ vector atoms are the d = 1 catalog atoms of ``basisnd.build_basis_nd(filt,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +31,6 @@ from .scalar import (
     ScalarFilter,
     _axiom_deviations,
     _dot,
-    _filter_key,
     _finest_level,
     _frozen,
     scaled_atom_sample,
@@ -128,11 +128,12 @@ def _compose_step(c: np.ndarray, c_start: int, h: np.ndarray, h_start: int) -> t
     return out, 2 * c_start + h_start
 
 
-# one expansion per (filter, kind, depth): a factor's coefficients over
-# phi_{scale + depth, n} do not depend on its scale, and its shift only
-# moves their start.  Every Gram re-reads it: a warm run_verify of each of
-# db10's d = 1, m = 1..3 bases looks it up 218 times, every one a hit.
-_expansion_cache: dict[tuple[tuple, str, int], tuple[np.ndarray, int]] = {}
+# per filter object, one expansion per (kind, depth), dying with the filter:
+# a factor's coefficients over phi_{scale + depth, n} do not depend on its
+# scale, and its shift only moves their start.  Every Gram re-reads it: a
+# warm run_verify of each of db10's d = 1, m = 1..3 bases looks it up 218
+# times, every one a hit.
+_expansion_cache: weakref.WeakKeyDictionary[ScalarFilter, dict] = weakref.WeakKeyDictionary()
 
 
 def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: int) -> tuple:
@@ -157,8 +158,8 @@ def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: 
             f"a depth-{depth} expansion of {filt.name} would hold about {filt.length - 1} * 2**{depth} "
             f"coefficients, more than the {MAX_TABLE_SAMPLES} allowed (depth {finest} at most)"
         )
-    key = (_filter_key(filt), kind, depth)
-    if key not in _expansion_cache:
+    expansions = _expansion_cache.setdefault(filt, {})
+    if (kind, depth) not in expansions:
         if kind == "scaling":
             seq, start, steps = np.ones(1), 0, depth
         else:
@@ -166,8 +167,8 @@ def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: 
         for _ in range(steps):
             seq, start = _compose_step(seq, start, filt.h, filt.h_start)
         seq.flags.writeable = False
-        _expansion_cache[key] = (seq, start)
-    seq, start = _expansion_cache[key]
+        expansions[kind, depth] = (seq, start)
+    seq, start = expansions[kind, depth]
     return seq, start + shift * 2 ** (level - scale)
 
 

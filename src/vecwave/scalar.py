@@ -8,14 +8,15 @@ function is the one cascade; the wavelet is one two-scale pass over it,
 ``psi(x) = sqrt(2) * sum_k g[k] * phi(2x - k)`` (Daubechies, *Ten Lectures
 on Wavelets*, 1992, section 6.5).
 
-The one memo here is ``_table_cache``: the finest table built so far per
-filter and function, restricted for coarser grids and built anew for
-finer ones.  Every ``verify`` re-reads it through ``scaled_atom_sample``:
-a warm ``run_verify`` of each of db10's d = 1, m = 1..3 bases makes 12
-such reads in all, every one a hit.  A scale-0 atom holds the cached
-array itself; a dilated one is scaled on each call.  Filters are built
-afresh on each call too, in 0.01-0.08 ms (db2-db10), since a process
-builds one filter and keeps it.
+The one memo here is ``_table_cache``: per filter object, weakly, so it
+dies with the filter and two ``filter_by_name`` calls share nothing, the
+finest table built so far of each function, restricted for coarser grids
+and built anew for finer ones.  Every ``verify`` re-reads it through
+``scaled_atom_sample``: a warm ``run_verify`` of each of db10's d = 1,
+m = 1..3 bases makes 12 such reads in all, every one a hit.  A scale-0
+atom holds the cached array itself; a dilated one is scaled on each call.
+Filters are built afresh on each call, in 0.01-0.08 ms (db2-db10), since
+a process builds one filter and keeps it.
 
 Conventions
 -----------
@@ -31,6 +32,7 @@ grid with step ``2**-J``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,9 +78,9 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarFilter:
-    """An orthonormal two-band filter pair with integer start offsets."""
+    """An orthonormal two-band filter pair with integer start offsets; ``==`` is identity."""
 
     name: str
     h: np.ndarray
@@ -264,15 +266,6 @@ def _integer_values(filt: ScalarFilter) -> np.ndarray:
     return out
 
 
-def _filter_key(filt: ScalarFilter) -> tuple:
-    """Cache identity of a filter: its name, taps and offsets.
-
-    The name alone would let a filter built with a builtin name but other
-    taps read the builtin's cached samples.
-    """
-    return (filt.name, filt.h.tobytes(), filt.h_start, filt.g.tobytes(), filt.g_start)
-
-
 def _finest_level(filt: ScalarFilter) -> int:
     """The finest level whose ``(L - 1) * 2**level`` samples fit ``MAX_TABLE_SAMPLES``.
 
@@ -282,8 +275,8 @@ def _finest_level(filt: ScalarFilter) -> int:
     return (MAX_TABLE_SAMPLES // (filt.length - 1)).bit_length() - 1
 
 
-# one (level, table) per (filter, function): the finest table built so far
-_table_cache: dict[tuple[tuple, str], tuple[int, np.ndarray]] = {}
+# per filter, one (level, table) per function: the finest table built so far
+_table_cache: weakref.WeakKeyDictionary[ScalarFilter, dict] = weakref.WeakKeyDictionary()
 
 
 def _add_taps(out, coef, start, j, src, stride, offset) -> None:
@@ -305,14 +298,15 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
     """Read-only level-J table of the scaling function or wavelet.
 
     Index p holds the value at ``support_start + p * 2**-J``.  Only the
-    finest table of each function is cached.  A coarser request gets a
-    contiguous copy of every ``2**(level - J)``-th sample (a dot may sum a
-    strided view in another order); a finer one is built.  phi is the
-    one cascade: level 0 is the integer-grid eigenvector, and level
-    ``j + 1`` keeps level ``j`` as its even samples while odd sample
-    ``2q + 1`` adds ``sqrt(2) h_i phi_j[2q + 1 - (h_start + i) 2**j]``.  psi
-    is one pass over phi at level ``t = max(J - 1, 0)``: the value at ``x``
-    adds ``sqrt(2) g_i phi_t[(2x - g_start - i) 2**t]`` over the taps of g.
+    finest table of each function is cached, as long as its filter lives.
+    A coarser request gets a contiguous copy of every ``2**(level - J)``-th
+    sample (a dot may sum a strided view in another order); a finer one is
+    built.  phi is the one cascade: level 0 is the integer-grid
+    eigenvector, and level ``j + 1`` keeps level ``j`` as its even samples
+    while odd sample ``2q + 1`` adds
+    ``sqrt(2) h_i phi_j[2q + 1 - (h_start + i) 2**j]``.  psi is one pass
+    over phi at level ``t = max(J - 1, 0)``: the value at ``x`` adds
+    ``sqrt(2) g_i phi_t[(2x - g_start - i) 2**t]`` over the taps of g.
     Each sample is thus formed once, from the same products in the same
     order, whatever the requests.
     """
@@ -324,8 +318,8 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
             f"a level-{J} table of {filt.name} would hold {filt.length - 1} * 2**{J} samples, "
             f"more than the {MAX_TABLE_SAMPLES} allowed (level {finest} at most)"
         )
-    key = (_filter_key(filt), which)
-    level, table = _table_cache.get(key, (-1, None))
+    tables = _table_cache.setdefault(filt, {})
+    level, table = tables.get(which, (-1, None))
     if J <= level:
         if J == level:
             return table
@@ -349,7 +343,7 @@ def _table(filt: ScalarFilter, which: str, J: int) -> np.ndarray:
             _add_taps(new[1::2], filt.h, filt.h_start, j, table, 2, 1)
             table = new
     table.flags.writeable = False
-    _table_cache[key] = (J, table)
+    tables[which] = (J, table)
     return table
 
 

@@ -578,14 +578,14 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
     Wavelet-family matrices are zeroed whole.  Base-family matrices
     measure and zero only their detail columns, so all-approx columns
     always survive: tau = inf keeps exactly the approximation content,
-    tau = 0 changes nothing.
+    tau = 0 changes nothing, and a NaN or negative tau is refused.
     """
     if norm not in ("frobenius", "norm1"):
         raise ValueError(f"norm must be 'frobenius' or 'norm1', got {norm!r}")
     tau = float(tau)
-    # norms < nan is never true, so a NaN tau would quietly keep everything
-    if np.isnan(tau):
-        raise ValueError("threshold must not be NaN")
+    # norms < tau never holds for a NaN or negative tau, which would quietly act as 0
+    if not tau >= 0.0:
+        raise ValueError(f"threshold must not be NaN or negative, got {tau!r}")
     bands = []
     for band in dec.bands:
         if band.level >= 0:

@@ -503,7 +503,7 @@ def _tables_after(form, name, d, m, max_level, k_range, J):
         f"b = t._basis({name!r}, {d}, {m})\n"
         f"fn = {dict(loop='t._loop_catalog_star_deviation', array='t.catalog_star_deviation').get(form, 'lambda *args: None')}\n"
         f"fn(b, {max_level}, {k_range}, {J})\n"
-        "tables = [(w, level) for (_, w), (level, _) in scalar._table_cache.items()]\n"
+        "tables = [(w, level) for w, (level, _) in scalar._table_cache[b.mw.filter].items()]\n"
         "print(json.dumps(sorted(tables)))\n"
     )
     src = str(Path(vecwave.__file__).resolve().parents[1])

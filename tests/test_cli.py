@@ -274,14 +274,16 @@ def test_transform_threshold_inf_keeps_approximation_only(tmp_path):
     assert np.max(np.abs(rec.values - sig.values)) > 1e-3
 
 
-def test_transform_refuses_a_nan_threshold(tmp_path, capsys):
+def test_transform_refuses_a_nan_or_negative_threshold(tmp_path, capsys):
     manifest = build_manifest(tmp_path, d=1)
     sig_path, _ = write_signal(tmp_path, 2, (64,))
     out = tmp_path / "dec.vdec"
-    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
-                 "--out", str(out), "--levels", "2", "--threshold", "nan"]) == 2
-    assert "threshold must not be NaN" in capsys.readouterr().err
-    assert not out.exists()
+    # "=" keeps argparse from taking "-inf" for an option
+    for threshold in ("nan", "-1", "-inf"):
+        assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                     "--out", str(out), "--levels", "2", f"--threshold={threshold}"]) == 2
+        assert "threshold must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_transform_norm1_threshold_flag(tmp_path):
@@ -850,8 +852,9 @@ def test_cold_verify_builds_no_table_finer_than_j():
         "from vecwave import scalar\n"
         "from vecwave.basisnd import build_basis_nd\n"
         "from vecwave.cli import run_verify\n"
-        "run_verify(build_basis_nd(scalar.filter_by_name('db10'), 1, 3), 10, 'sampled')\n"
-        "print(max(level for level, _ in scalar._table_cache.values()))\n"
+        "filt = scalar.filter_by_name('db10')\n"
+        "run_verify(build_basis_nd(filt, 1, 3), 10, 'sampled')\n"
+        "print(max(level for level, _ in scalar._table_cache[filt].values()))\n"
     )
     assert _run_python(["-c", code]).stdout.strip() == "10"
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import operator
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -329,7 +331,7 @@ def test_tables_independent_of_request_order(name, monkeypatch):
             assert values.tobytes() == fresh[which, J], (which, J)
 
 
-def test_caches_keyed_by_taps_not_name(monkeypatch):
+def test_caches_keyed_by_filter_not_name(monkeypatch):
     """A filter that reuses a builtin name with other taps gets its own
     samples, not the builtin's cached ones."""
     monkeypatch.setattr(scalar, "_table_cache", {})
@@ -344,6 +346,28 @@ def test_caches_keyed_by_taps_not_name(monkeypatch):
     assert scaled.tobytes() == scaled_atom_sample(db3, "wavelet", 1, 0, 3).values.tobytes()
     # the builtin's entries are untouched by the impostor
     assert len(refine_sample(db2, "scaling", 3).values) == 24
+
+
+def test_memos_die_with_their_filter():
+    """The cascade tables and factor expansions are kept per filter object
+    and freed with it; a filter compares and hashes by identity."""
+    from vecwave import basis1d, build_basis_nd
+    from vecwave.cli import run_verify
+
+    gc.collect()
+    sizes = len(scalar._table_cache), len(basis1d._expansion_cache)
+    filt = filter_by_name("db4")
+    basis = build_basis_nd(filt, 1, 2)
+    assert run_verify(basis, 8, "sampled").passed
+    table = weakref.ref(scalar._table_cache[filt]["scaling"][1])
+    expansion = weakref.ref(basis1d._expansion_cache[filt]["scaling", 2][0])
+    assert filt == filt
+    assert filt != filter_by_name(filt.name)
+    assert hash(filt) == hash(filt)
+    del filt, basis
+    gc.collect()
+    assert table() is None and expansion() is None
+    assert (len(scalar._table_cache), len(basis1d._expansion_cache)) == sizes
 
 
 def test_table_size_guard_fires_before_allocating():
@@ -447,10 +471,10 @@ def test_cache_keeps_one_table_per_function(monkeypatch):
     filt = filter_by_name("db4")
     for J in range(10, 15):
         scalar._table(filt, "wavelet", J)
-    key = scalar._filter_key(filt)
-    assert sorted(cache) == [(key, "scaling"), (key, "wavelet")]
-    assert cache[key, "scaling"][0] == 13
-    assert cache[key, "wavelet"][0] == 14
+    assert list(cache) == [filt]
+    assert sorted(cache[filt]) == ["scaling", "wavelet"]
+    assert cache[filt]["scaling"][0] == 13
+    assert cache[filt]["wavelet"][0] == 14
 
 
 @pytest.mark.parametrize("J", [0, 1, 9])
@@ -481,7 +505,7 @@ def test_scale0_atoms_share_the_cached_tables(monkeypatch):
     monkeypatch.setattr(scalar, "_table_cache", {})
     filt = filter_by_name("db4")
     run_verify(build_basis_nd(filt, 1, 2), 8, "sampled")
-    tables = {which: entry for (_, which), entry in scalar._table_cache.items()}
+    tables = scalar._table_cache[filt]
     assert sorted(tables) == ["scaling", "wavelet"]
     for which, (level, _) in tables.items():
         for k in (0, 3):

@@ -604,12 +604,14 @@ def test_threshold_tau_inf_keeps_approx_only():
                     assert not np.any(band.values[:, r])
 
 
-def test_threshold_nan_is_refused():
-    # norms < nan is never true, so a NaN tau would keep every coefficient
+def test_threshold_nan_or_negative_is_refused():
+    # norms < tau is never true for these, so each would keep every coefficient
     dec = analyze_vector(VectorSignal(np.random.default_rng(12).standard_normal((2, 32))), build_vector_basis(HAAR, 2), 1)
-    for tau in (np.nan, float("nan"), "nan"):
-        with pytest.raises(ValueError, match="NaN"):
+    for tau in (np.nan, float("nan"), "nan", -1.0, -np.inf):
+        with pytest.raises(ValueError, match="NaN or negative"):
             threshold_matrix(dec, tau)
+    # -0.0 is not below zero, and acts as 0
+    assert decomposition_to_bytes(threshold_matrix(dec, -0.0)) == decomposition_to_bytes(dec)
 
 
 def test_threshold_zeroes_exactly_one_of_two_matrices():
