@@ -11,7 +11,9 @@ head -1 "$work/db2m3.txt"
 
 echo "== verify (exact profile for haar, sampled for db2) =="
 python3 -m vecwave.cli verify --manifest "$work/haar22.txt" --report "$work/haar.csv"
-python3 -m vecwave.cli verify --manifest "$work/db2m3.txt" --profile sampled --report "$work/db2.csv" | tail -1
+# to a file first: sh has no pipefail, so set -e would miss a failing verify piped into tail
+python3 -m vecwave.cli verify --manifest "$work/db2m3.txt" --profile sampled --report "$work/db2.csv" > "$work/db2-verify.out"
+tail -1 "$work/db2-verify.out"
 
 echo "== transform round trip =="
 python3 - "$work" <<'EOF'

@@ -86,13 +86,14 @@ def build_vector_basis(filt: ScalarFilter, m: int) -> VectorBasis1D:
     return VectorBasis1D(filt, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFilter:
     """Matrix taps of the vector two-scale relation at dilation 2^m.
 
     ``taps[i]`` is the m x m coefficient of the dilate translated by
     ``start + i``; the identity reads Phi(x) = sum_k P_k Phi(2^m x - k)
-    with the right side's atoms taken L2-normalized (amplitude 2^(m/2)).
+    with the right side's atoms taken L2-normalized (amplitude 2^(m/2));
+    ``==`` is identity.
     """
 
     taps: np.ndarray

@@ -213,13 +213,13 @@ def filter_by_name(name: str) -> ScalarFilter:
     raise ValueError(f"unknown filter name {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """A function sampled at left endpoints of a dyadic grid.
 
     ``values[i]`` is the value at ``(start + i) * 2**-level``; ``start`` is an
     integer count of grid steps, so the support window begins at an exact
-    dyadic rational.
+    dyadic rational.  ``==`` is identity.
     """
 
     start: int

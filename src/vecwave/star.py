@@ -21,9 +21,9 @@ from .errors import DimensionError
 from .scalar import _frozen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixM:
-    """A square matrix of pairing values, immutable and finite."""
+    """A square matrix of pairing values, immutable and finite; ``==`` is identity."""
 
     entries: np.ndarray
 
@@ -48,12 +48,12 @@ class MatrixM:
         return cls(np.zeros((m, m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSampledFunction:
     """m scalar channels sampled on one d-dimensional dyadic grid.
 
     ``values[r, p_1, ..., p_d]`` is channel r at the point with coordinate
-    ``(start_i + p_i) * 2**-level`` along axis i.
+    ``(start_i + p_i) * 2**-level`` along axis i.  ``==`` is identity.
     """
 
     start: tuple

@@ -24,12 +24,13 @@ reads only the slots past each column's length to check that they are
 +-0.0, and refuses a decomposition with anything else there.
 
 So (d, m, n, levels, partition) fix every band's key, orientation bits,
-level, block and column descriptors, and one table, `_layout`, lists
-them in file order.  Analysis packs by it and synthesis refuses bands
-whose headers differ from it.  The `.vdec` decoder parses only the header
-and the partition line, writes the manifest they fix and refuses a file
-that does not start with exactly that text, as a basis manifest is
-rebuilt from its header and must match.
+level, block, column descriptors and shape, and one table, `_layout`,
+lists them in file order.  Analysis packs by it, and a
+`VectorDecomposition` whose bands depart from it cannot be built, so
+synthesis and the encoder take its bands as they are.  The `.vdec`
+decoder parses only the header and the partition line, writes the
+manifest they fix and refuses a file that does not start with exactly
+that text, as a basis manifest is rebuilt from its header and must match.
 
 Signals and bands own their arrays by `scalar._frozen`'s rule.  Analysis
 and synthesis hand over their fresh results uncopied, and the decoders
@@ -93,11 +94,11 @@ def _is_pow2(n) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSignal:
     """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n.
 
-    values is read-only and owned by `scalar._frozen`'s rule.
+    values is read-only and owned by `scalar._frozen`'s rule; ``==`` is identity.
     """
 
     values: np.ndarray
@@ -277,18 +278,19 @@ def idwt2_channel(approx: np.ndarray, shells, filt: ScalarFilter) -> np.ndarray:
 # matrix band containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Band:
     """One family's finite matrix coefficients at every translate.
 
-    values has shape (m, m, K1, ..., Kd) with d = 1..3: channel row,
-    partition column, then one translate axis per space axis.  cols[r]
-    describes column r as one (kind, scale, length) triple per axis; slots
-    at or beyond a column's length are structural zeros (the validity
-    mask).  level is the vector level t, or -1 for the base family.
-    values is read-only and owned by `scalar._frozen`'s rule; a band
-    decoded from a file's bytes views them, so holding it keeps the whole
-    file alive.
+    values has shape (m, m, K1, ..., Kd): channel row, partition column,
+    then one translate axis per space axis.  cols[r] describes column r as
+    one (kind, scale, length) triple per axis; slots at or beyond a
+    column's length are structural zeros (the validity mask).  level is the
+    vector level t, or -1 for the base family.  A band checks only that its
+    values are finite; the `VectorDecomposition` that holds it checks its
+    header and shape against `_layout`.  values is read-only and owned by
+    `scalar._frozen`'s rule; a band decoded from a file's bytes views them,
+    so holding it keeps the whole file alive.  ``==`` is identity.
     """
 
     key: str
@@ -299,38 +301,9 @@ class Band:
     values: np.ndarray
 
     def __post_init__(self):
-        eps = tuple(int(b) for b in self.eps)
-        cols = tuple(tuple((str(k), int(s), int(ln)) for k, s, ln in col) for col in self.cols)
         values = _frozen(self.values)
-        d = values.ndim - 2
-        if not 1 <= d <= MAX_SAMPLE_D:
-            raise ValueError(f"band values must have 1 to {MAX_SAMPLE_D} translate axes, got shape {values.shape}")
-        m = values.shape[0]
-        if values.shape[1] != m or len(cols) != m:
-            raise ValueError(f"band must hold m x m matrices with m column descriptors, got shape {values.shape} and {len(cols)} columns")
-        if len(eps) != d or any(b not in (0, 1) for b in eps):
-            raise ValueError(f"eps must be {d} bits, got {self.eps}")
-        if self.level < -1 or (self.level == -1) != (sum(eps) == 0):
-            raise ValueError(f"level {self.level} inconsistent with eps {eps}")
-        if self.block < 0:
-            raise ValueError(f"block index must be >= 0, got {self.block}")
-        for col in cols:
-            if len(col) != d:
-                raise ValueError(f"column descriptor needs {d} axes, got {col}")
-            for ax, (kind, scale, length) in enumerate(col):
-                if kind not in ("approx", "detail"):
-                    raise ValueError(f"unknown subband kind {kind!r}")
-                # 2**scale translates must fit the axis; checking that first
-                # bounds scale before 2**scale is computed
-                finest = values.shape[2 + ax].bit_length() - 1
-                if not 0 <= scale <= finest:
-                    raise ValueError(f"scale {scale} is outside 0..{finest}, the scales a translate axis of {values.shape[2 + ax]} holds")
-                if length != 2**scale:
-                    raise ValueError(f"length {length} does not match scale {scale}")
         if not np.isfinite(values).all():
             raise ValueError("band holds a NaN or infinite value")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
 
     @property
@@ -348,9 +321,16 @@ class Band:
         return self.m * sum(math.prod(self.col_lengths(r)) for r in range(self.m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorDecomposition:
-    """Regrouped transform of one VectorSignal."""
+    """Regrouped transform of one VectorSignal; ``==`` is identity.
+
+    Building one checks the geometry (1 <= d <= 3, m >= 1, dyadic n, a
+    partition of (d, m), levels >= 0 that fit log2(n)), then that the bands
+    carry exactly `_layout`'s heads in order with values of `_band_shape`,
+    and raises `CorruptionError` otherwise.  So every decomposition that
+    exists can be synthesized and encodes to a `.vdec` its decoder accepts.
+    """
 
     d: int
     m: int
@@ -359,6 +339,22 @@ class VectorDecomposition:
     filter_name: str
     partition: Partition
     bands: tuple
+
+    def __post_init__(self):
+        d, m, n, levels, part = self.d, self.m, self.n, self.levels, self.partition
+        # the geometry first, so no field can ask _layout for a huge table
+        if not (1 <= d <= MAX_SAMPLE_D and m >= 1 and _is_pow2(n) and levels >= 0):
+            raise CorruptionError(f"invalid geometry d={d} m={m} n={n} levels={levels}")
+        if not isinstance(part, Partition) or (part.d, part.m) != (d, m):
+            raise CorruptionError(f"partition is not one of d={d} m={m}")
+        # the `.vdec` header holds the name as one ASCII word
+        if not (self.filter_name.isascii() and re.fullmatch(r"\S+", self.filter_name)):
+            raise CorruptionError(f"filter name {self.filter_name!r} is not one word of ASCII")
+        layout = _layout_of(d, m, n, levels, part.blocks, CorruptionError)
+        if tuple(_head(band) for band in self.bands) != layout or any(
+            band.values.shape != _band_shape(m, band.cols) for band in self.bands
+        ):
+            raise CorruptionError(f"bands depart from the layout of d={d} m={m} n={n} levels={levels} and the partition")
 
     def band(self, key: str) -> Band:
         for band in self.bands:
@@ -475,6 +471,15 @@ def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
     return tuple(out)
 
 
+def _layout_of(d: int, m: int, n: int, levels: int, blocks: tuple, error: type) -> tuple:
+    """`_layout` for a grid of n, refused with `error` first if the levels do not fit log2(n)."""
+    smax = n.bit_length() - 1
+    s0 = smax - (m * levels + m - 1)
+    if s0 < 0:
+        raise error(f"{levels} vector levels of m = {m} exceed log2(n) = {smax}")
+    return _layout(d, m, levels, s0, blocks)
+
+
 def _band_shape(m: int, cols) -> tuple:
     """A band's values shape: m x m, then its widest column's length on each axis."""
     return (m, m) + tuple(max(col[ax][2] for col in cols) for ax in range(len(cols[0])))
@@ -519,9 +524,9 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     return VectorDecomposition(d, m, signal.n, levels, filt.name, part, tuple(bands))
 
 
-def _unpack_bands(dec: VectorDecomposition) -> dict:
+def _unpack_bands(bands) -> dict:
     pieces = {}
-    for band in dec.bands:
+    for band in bands:
         for rho, col in enumerate(band.cols):
             full = band.values[:, rho]
             valid = tuple(slice(0, length) for _, _, length in col)
@@ -535,11 +540,12 @@ def _unpack_bands(dec: VectorDecomposition) -> dict:
     return pieces
 
 
-def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> VectorSignal:
-    """Invert analyze_vector.  `n` (optional) cross-checks the grid size.
+def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
+    """Invert analyze_vector on a grid of dec.n.
 
-    The bands must carry exactly the headers of `_layout` for the
-    decomposition's d, m, n, levels and partition, in its order.
+    The basis must carry the decomposition's filter and partition.  Its
+    bands match their layout, as every VectorDecomposition's do, so only
+    their masked slots are checked: each must hold +-0.0.
     """
     mw, part = _basis_params(basis, dec.d, dec.m)
     filt, m = mw.filter, mw.m
@@ -547,17 +553,8 @@ def synthesize_vector(dec: VectorDecomposition, basis, n: int | None = None) -> 
         raise ValueError(f"decomposition was built with {dec.filter_name}, basis carries {filt.name}")
     if part.blocks != dec.partition.blocks:
         raise ValueError("basis partition does not match the decomposition")
-    if n is not None and n != dec.n:
-        raise DimensionError(f"requested n = {n} but decomposition holds n = {dec.n}")
-    smax = dec.n.bit_length() - 1
-    s0 = smax - (m * dec.levels + m - 1)
-    # first, so a levels field read from a file cannot ask for a huge layout
-    if s0 < 0:
-        raise CorruptionError(f"{dec.levels} vector levels of m = {m} exceed log2(n) = {smax}")
-    layout = _layout(dec.d, m, dec.levels, s0, part.blocks)
-    if tuple(_head(band) for band in dec.bands) != layout:
-        raise CorruptionError(f"bands depart from the layout of d={dec.d} m={m} n={dec.n} levels={dec.levels} and the partition")
-    pieces = _unpack_bands(dec)
+    s0 = dec.n.bit_length() - 1 - (m * dec.levels + m - 1)
+    pieces = _unpack_bands(dec.bands)
     for axis, _, src, out in reversed(_schedule(dec.d, m, dec.levels, s0)):
         pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
     (a,) = pieces.values()
@@ -654,14 +651,15 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
 
 def _manifest(d, m, n, levels, filter_name, blocks, heads) -> str:
     """The regrouping map as text: header, partition, one CSV line per band head, `end`."""
+    # int(): a field equal to its layout's may be a bool or a float, whose str the decoder refuses
     lines = [
-        f"VDEC1 d={d} m={m} n={n} levels={levels} filter={filter_name} bands={len(heads)}",
-        "partition=" + "/".join(";".join(",".join(str(a) for a in row) for row in block) for block in blocks),
+        f"VDEC1 d={int(d)} m={int(m)} n={int(n)} levels={int(levels)} filter={filter_name} bands={len(heads)}",
+        "partition=" + "/".join(";".join(",".join(str(int(a)) for a in row) for row in block) for block in blocks),
     ]
     for key, eps, level, block, cols in heads:
-        bits = "".join(str(b) for b in eps)
-        text = ";".join("|".join(f"{kind}:{scale}:{length}" for kind, scale, length in col) for col in cols)
-        lines.append(f"{key},{bits},{level},{block},{text}")
+        bits = "".join(str(int(b)) for b in eps)
+        text = ";".join("|".join(f"{kind}:{int(scale)}:{int(length)}" for kind, scale, length in col) for col in cols)
+        lines.append(f"{key},{bits},{int(level)},{int(block)},{text}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -718,13 +716,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
         partition = Partition(d, m, blocks)
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
-    smax = n.bit_length() - 1
-    s0 = smax - (m * levels + m - 1)
-    # first, so a levels field cannot ask for a huge layout
-    if s0 < 0:
-        raise FileFormatError(f"{levels} vector levels of m = {m} exceed log2(n) = {smax}")
-
-    layout = _layout(d, m, levels, s0, partition.blocks)
+    layout = _layout_of(d, m, n, levels, partition.blocks, FileFormatError)
     text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
     head = text.encode("ascii")
     if data[: len(head)] != head:

@@ -1,5 +1,6 @@
 """Tests for the matrix-coefficient transform and its file formats."""
 
+import copy
 from dataclasses import replace
 import tracemalloc
 
@@ -12,10 +13,12 @@ from vecwave import (
     DimensionError,
     FileFormatError,
     ResolutionError,
+    VectorDecomposition,
     VectorSignal,
     analyze_vector,
     build_basis_nd,
     build_vector_basis,
+    cyclic_partition,
     decomposition_from_bytes,
     decomposition_manifest,
     decomposition_to_bytes,
@@ -248,16 +251,68 @@ def test_signal_bytes_rejects_non_finite(bad):
         signal_from_bytes(blob)
 
 
-def test_band_rejects_four_translate_axes():
-    with pytest.raises(ValueError, match="1 to 3 translate axes"):
-        Band("w", (1, 0, 0, 0), 0, 0, ((("detail", 0, 1),) * 4,), np.zeros((1,) * 6))
+def _with_band(dec, i, **changes):
+    return replace(dec, bands=dec.bands[:i] + (replace(dec.bands[i], **changes),) + dec.bands[i + 1:])
 
 
-@pytest.mark.parametrize("scale", [-1, 3, 10**12])
-def test_band_bounds_a_column_scale_by_its_axis(scale):
-    # four translates hold scales 0..2; the bound comes before 2**scale
-    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
-        Band("w", (1,), 0, 0, ((("detail", scale, 4),),), np.zeros((1, 1, 4)))
+def _with_scale(dec, i, scale):
+    # column 0 of band i keeps its length and takes another scale on axis 0
+    (kind, _, length), *rest = dec.bands[i].cols[0]
+    cols = (((kind, scale, length), *rest),) + dec.bands[i].cols[1:]
+    return _with_band(dec, i, cols=cols)
+
+
+def _resized(dec, i, grow):
+    values = dec.bands[i].values
+    if grow:
+        out = np.zeros(values.shape[:2] + tuple(2 * k for k in values.shape[2:]))
+        out[(slice(None), slice(None)) + tuple(slice(0, k) for k in values.shape[2:])] = values
+    else:
+        out = values[..., :-1]
+    return _with_band(dec, i, values=out)
+
+
+# mutations of haar d=2 m=2 n=16 at one level, whose band 1 is base-b1
+# and band 2 is w-e01-t0-b0
+_LAYOUT_MUTATIONS = {
+    "missing-band": lambda dec: replace(dec, bands=dec.bands[:-1]),
+    "extra-band": lambda dec: replace(dec, bands=dec.bands + dec.bands[-1:]),
+    "swapped-bands": lambda dec: replace(dec, bands=(dec.bands[0], dec.bands[2], dec.bands[1]) + dec.bands[3:]),
+    "changed-key": lambda dec: _with_band(dec, 2, key="w-e01-t0-b1"),
+    "changed-eps": lambda dec: _with_band(dec, 2, eps=(1, 1)),
+    "changed-level": lambda dec: _with_band(dec, 2, level=1),
+    "changed-block": lambda dec: _with_band(dec, 2, block=1),
+    # four translates hold scales 0..2, and 2**scale is never formed
+    "column-scale--1": lambda dec: _with_scale(dec, 2, -1),
+    "column-scale-3": lambda dec: _with_scale(dec, 2, 3),
+    "column-scale-10**12": lambda dec: _with_scale(dec, 2, 10**12),
+    "four-translate-axes": lambda dec: _with_band(dec, 2, values=dec.bands[2].values[..., None, None]),
+    # zero-padded: synthesis read only its leading slots, and the encoder
+    # wrote a .vdec its decoder refused
+    "oversized-band": lambda dec: _resized(dec, 1, True),
+    "undersized-band": lambda dec: _resized(dec, 1, False),
+    "levels-0": lambda dec: replace(dec, levels=0),
+    "levels-2": lambda dec: replace(dec, levels=2),
+    "levels-10**9": lambda dec: replace(dec, levels=10**9),
+    "partition-of-d1": lambda dec: replace(dec, partition=cyclic_partition(1, 2)),
+    "partition-of-m3": lambda dec: replace(dec, partition=cyclic_partition(2, 3)),
+    "swapped-partition-blocks": lambda dec: replace(
+        dec, partition=replace(dec.partition, blocks=dec.partition.blocks[::-1])
+    ),
+    "d-4": lambda dec: replace(dec, d=4),
+    "n-32": lambda dec: replace(dec, n=32),
+    "filter-name-with-a-space": lambda dec: replace(dec, filter_name="my haar"),
+    "non-ascii-filter-name": lambda dec: replace(dec, filter_name="ha\u00e4r"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAYOUT_MUTATIONS))
+def test_a_decomposition_off_its_layout_cannot_be_built(name):
+    dec = analyze_vector(VectorSignal(np.ones((2, 16, 16))), build_basis_nd(HAAR, 2, 2), 1)
+    assert [band.key for band in dec.bands[1:3]] == ["base-b1", "w-e01-t0-b0"]
+    replace(dec)
+    with pytest.raises(CorruptionError):
+        _LAYOUT_MUTATIONS[name](dec)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -457,18 +512,25 @@ def test_analyze_guards():
         analyze_vector(sig, HAAR, 1)
 
 
+def test_heads_equal_to_the_layout_encode_its_manifest():
+    # bools and floats equal to the layout's integers pass the layout
+    # check, and the manifest writes them as the integers the decoder reads
+    dec = analyze_vector(VectorSignal(np.ones((2, 16, 16))), build_basis_nd(HAAR, 2, 2), 1)
+    band = dec.bands[2]
+    other = replace(_with_band(dec, 2, eps=tuple(map(bool, band.eps)), level=float(band.level)), levels=True)
+    assert decomposition_to_bytes(other) == decomposition_to_bytes(dec)
+
+
 def test_synthesize_validation():
     sig = VectorSignal(np.zeros((2, 16, 16)))
     basis = build_basis_nd(HAAR, 2, 2)
     dec = analyze_vector(sig, basis, 1)
     with pytest.raises(ValueError):
         synthesize_vector(dec, build_basis_nd(DB2, 2, 2))
-    with pytest.raises(DimensionError):
-        synthesize_vector(dec, basis, n=32)
-    other = replace(dec, partition=replace(dec.partition, blocks=(((1, 2), (2, 1)), ((1, 1), (2, 2)))))
+    swapped = build_basis_nd(HAAR, 2, 2, replace(basis.partition, blocks=basis.partition.blocks[::-1]))
     with pytest.raises(ValueError):
-        synthesize_vector(other, basis)
-    assert synthesize_vector(dec, basis, n=16).n == 16
+        synthesize_vector(analyze_vector(sig, swapped, 1), basis)
+    assert synthesize_vector(dec, basis).n == 16
 
 
 def test_masked_slot_corruption_detected():
@@ -493,10 +555,10 @@ def _two_count_accepts(band):
     return True
 
 
-def _unpack_refusal(dec, band):
+def _unpack_refusal(band):
     """The CorruptionError text synthesis gives for `band`, or None if it unpacks."""
     try:
-        _unpack_bands(replace(dec, bands=(band,)))
+        _unpack_bands((band,))
     except CorruptionError as exc:
         return str(exc)
     return None
@@ -533,7 +595,7 @@ def test_masked_slot_check_matches_the_two_count_rule(name, d, m):
     dec = analyze_vector(VectorSignal(np.random.default_rng(14).standard_normal((m,) + (n,) * d)), basis, 1)
     classes = set()
     for band in dec.bands:
-        assert _unpack_refusal(dec, band) is None and _two_count_accepts(band)
+        assert _unpack_refusal(band) is None and _two_count_accepts(band)
         for rho in range(m):
             row = (m - 1 - rho) % m
             for past, slot in _masked_slots(band, rho):
@@ -543,12 +605,12 @@ def test_masked_slot_check_matches_the_two_count_rule(name, d, m):
                     bad = replace(band, values=values)
                     assert _two_count_accepts(bad) is verdict, (band.key, rho, slot)
                     refusal = None if verdict else f"nonzero coefficient in a masked slot of {band.key} column {rho}"
-                    assert _unpack_refusal(dec, bad) == refusal, (band.key, rho, slot)
+                    assert _unpack_refusal(bad) == refusal, (band.key, rho, slot)
                 classes.add(past)
             # a valid slot may hold anything
             values = np.array(band.values)
             values[(row, rho) + tuple(length - 1 for length in band.col_lengths(rho))] = 0.5
-            assert _unpack_refusal(dec, replace(band, values=values)) is None
+            assert _unpack_refusal(replace(band, values=values)) is None
     if m > 1:
         # every axis's slab and the corner past every axis were corrupted
         assert {tuple(int(ax == i) for ax in range(d)) for i in range(d)} <= classes
@@ -731,6 +793,13 @@ _VALUE_TYPES = {
     "MatrixFilter": (lambda v: MatrixFilter(v, 0, 4), lambda f: [f.taps], (3, 2, 2)),
     "VectorSignal": (VectorSignal, lambda s: [s.values], (2, 8)),
     "Band": (lambda v: Band("w", (1,), 0, 0, ((("detail", 0, 1),),), v), lambda b: [b.values], (1, 1, 1)),
+    "VectorDecomposition": (
+        lambda v: VectorDecomposition(
+            1, 1, 1, 0, "t", cyclic_partition(1, 1), (Band("base-b0", (0,), -1, 0, ((("approx", 0, 1),),), v),)
+        ),
+        lambda dec: [dec.bands[0].values],
+        (1, 1, 1),
+    ),
 }
 
 
@@ -767,6 +836,15 @@ def test_value_types_keep_frozen_owned_arrays_and_copy_others(name):
                 a[(0,) * a.ndim] = 2.0
         live[...] = 1.0
         base[...] = 1.0
+
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_value_types_compare_and_hash_by_identity(name):
+    make, _, shape = _VALUE_TYPES[name]
+    value = make(np.ones(shape))
+    assert value == value
+    assert value != copy.copy(value)
+    assert hash(value) == hash(value)
 
 
 def _bytes_view(blob: bytes) -> np.ndarray:
