@@ -194,7 +194,10 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
 
     Evaluates Phi and sum_k P_k times the L2-normalized dilated atoms on
     the level-J grid and returns max over grid points of the channelwise
-    absolute sum of the difference.
+    absolute sum of the difference.  Only the nonzero entries of each P_k
+    form products, each added to its own row's slice in tap-major order,
+    so every sample of the right side has the bits of the sum of the full
+    m x m products, signed zeros included.
     """
     m = basis.m
     if J < m:
@@ -212,17 +215,21 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
         comp = comps[c]
         atoms[c] = scaled_atom_sample(basis.filter, comp.kind, m + comp.scale, 0, J)
     step = 2 ** (J - m)
-    starts = [atoms[c].start + (mf.start + i) * step for i, c in pairs]
+    starts = {(i, c): atoms[c].start + (mf.start + i) * step for i, c in pairs}
     # Union window of Phi's rows and every term on the right side.
-    lo = min([row.start for row in rows] + starts)
+    lo = min([row.start for row in rows] + list(starts.values()))
     hi = max(
         [row.start + len(row.values) for row in rows]
-        + [s + len(atoms[c].values) for s, (_, c) in zip(starts, pairs)]
+        + [s + len(atoms[c].values) for (_, c), s in starts.items()]
     )
     rhs = np.zeros((m, hi - lo))
-    for s, (i, c) in zip(starts, pairs):
+    # A zero coefficient would add a signed zero to a sum that starts at
+    # +0.0 and never reaches -0.0, so skipping it moves no bit.
+    nz = np.nonzero(mf.taps)
+    for i, r, c, coef in zip(*(a.tolist() for a in nz), mf.taps[nz].tolist()):
         values = atoms[c].values
-        rhs[:, s - lo : s - lo + len(values)] += np.outer(mf.taps[i, :, c], values)
+        s = starts[i, c] - lo
+        rhs[r, s : s + len(values)] += coef * values
     full = np.zeros((m, hi - lo))
     for r, row in enumerate(rows):
         full[r, row.start - lo : row.start - lo + len(row.values)] = row.values

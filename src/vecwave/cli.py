@@ -34,9 +34,9 @@ from .basisnd import (
 from .errors import DimensionError, FileFormatError, VecwaveError
 from .scalar import (
     SampledFunction,
+    _moments,
     filter_by_name,
     filter_deviations,
-    moment,
     sampled_from_csv,
     scaled_atom_sample,
 )
@@ -184,7 +184,7 @@ def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
     basis1 = build_vector_basis(filt, m)
     rows.append(("refinement-residual", refine_residual(basis1, matrix_refinement_filter(basis1), j), tol["refine"]))
     wav = scaled_atom_sample(filt, "wavelet", 0, 0, j)
-    worst = max(abs(moment(wav, p)) for p in range(filt.vanishing_moments))
+    worst = max(abs(v) for v in _moments(wav, filt.vanishing_moments))
     rows.append(("vanishing-moments", worst, tol["moments"]))
     mismatches = 0
     for e in range(d + 1):

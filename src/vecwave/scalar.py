@@ -410,17 +410,30 @@ def scaled_atom_sample(
     return SampledFunction(start, J, values)
 
 
+def _split(r: np.ndarray, top) -> np.ndarray:
+    """The high part ``q = (sigma + r) - sigma`` of each row of ``r``.
+
+    ``top`` is each row's largest ``|r|``, inside ``(2**-900, 2**900)``, and
+    ``sigma = 2**k >= (n + 2) * top`` for rows of n values.  Each q is a
+    multiple of ``2**-53 * sigma`` within that distance of r, so ``r - q``
+    is exact, and the q of a row sum exactly in any order, since every
+    partial sum stays below sigma (Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I", *SIAM J. Sci. Comput.* 31, 2008,
+    ExtractVector).
+    """
+    sigma = np.ldexp(1.0, (r.shape[-1] + 1).bit_length() + np.frexp(top)[1])[..., None]
+    return (sigma + r) - sigma
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """``sum(a * b)`` with the same bits whatever the machine's thread count.
 
     ``np.dot`` hands long vectors to a threaded BLAS, whose partial sums
-    follow the thread count.  Here each product splits without error into
-    a multiple of ``2**-53 * sigma``, and these parts sum exactly in any
-    order; the small remainders are summed pairwise.  So the result is the
-    sum of the rounded products up to about one rounding (Rump, Ogita &
-    Oishi, "Accurate floating-point summation part I", *SIAM J. Sci.
-    Comput.* 31, 2008, ExtractVector).  Products past ``2**+-900``, where
-    sigma would leave the normal range, are summed pairwise alone.
+    follow the thread count.  Here ``_split`` cuts each product without
+    error into a high part, and these parts sum exactly in any order; the
+    small remainders are summed pairwise.  So the result is the sum of the
+    rounded products up to about one rounding.  Products past ``2**+-900``,
+    where sigma would leave the normal range, are summed pairwise alone.
 
     Vectors give a float.  Stacked rows (2-D ``a`` and ``b`` of one shape)
     give an array of one result per row, each with the bits of the call on
@@ -438,10 +451,32 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         if ok.any():
             out[ok] = _dot(a[ok], b[ok])
         return out
-    # sigma = 2**k >= (n + 2) * max|p|, one per row
-    sigma = np.ldexp(1.0, (p.shape[1] + 1).bit_length() + np.frexp(top)[1])[:, None]
-    q = (sigma + p) - sigma
+    q = _split(p, top)
     return q.sum(axis=1) + (p - q).sum(axis=1)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values)``, bit for bit, without a Python list of them all.
+
+    Each round cuts the remaining n values with ``_split``, keeps the exact
+    sum of the high parts and goes on with the nonzero remainders, whose
+    largest is at least 52 - bitlen(n + 1) bits below the last.  It stops
+    at 32 values or fewer, or when the largest leaves ``(2**-900, 2**900)``
+    (NaN and inf included).  The parts and the values left then have the
+    same exact sum as ``values``, and ``math.fsum`` rounds that sum
+    correctly, so it returns the same float, a zero sum's +0.0 included.
+    """
+    parts = []
+    r = values
+    while len(r) > 32:
+        top = abs(r).max()
+        if not 2.0**-900 < top < 2.0**900:
+            break
+        q = _split(r, top)
+        parts.append(float(q.sum()))
+        r = r - q
+        r = r[r != 0.0]
+    return math.fsum(parts + r.tolist())
 
 
 def quad_inner(f: SampledFunction, g: SampledFunction) -> float:
@@ -463,24 +498,44 @@ def quad_inner(f: SampledFunction, g: SampledFunction) -> float:
     return _dot(fv, gv) * f.step
 
 
+def _powers(x: np.ndarray, top: int):
+    """Yield ``x**1 .. x**top``, each the one before times ``x``, in one array.
+
+    The products cost a fraction of an elementwise ``pow``.  Up to ``x**3``
+    they are exact while every grid index ``x * 2**level`` is below 2**17
+    in magnitude, since its cube then fits a double's 53 bits; higher
+    powers may differ from ``pow`` in the last bits.
+    """
+    xp = x.copy()
+    for p in range(1, top + 1):
+        if p > 1:
+            xp *= x
+        yield xp
+
+
+def _moments(f: SampledFunction, count: int) -> list:
+    """``[moment(f, p) for p in range(count)]``, bit for bit, on one ladder."""
+    if count > _MAX_MOMENT + 1:
+        raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {_MAX_MOMENT + 1}")
+    if count <= 0:
+        return []
+    sums = [_fsum(f.values)] + [_dot(xp, f.values) for xp in _powers(f.grid(), count - 1)]
+    return [s * f.step for s in sums]
+
+
 def moment(f: SampledFunction, p: int) -> float:
     """Left-endpoint quadrature of ``integral x**p f(x) dx``; ``p <= 12``.
 
-    ``x**p`` is formed by p - 1 repeated products, which costs a fraction of
-    an elementwise ``pow``.  Up to ``x**3`` the products are exact while
-    every grid index ``x * 2**level`` is below 2**17 in magnitude, since its
-    cube then fits a double's 53 bits; higher powers may differ from
-    ``pow`` in the last bits.  The sum is ``_dot``'s, so its bits do not
-    depend on the thread count.
+    At p = 0 the sum of the samples is ``math.fsum``'s, the correctly
+    rounded exact sum, taken by ``_fsum`` at array speed.  Otherwise
+    ``x**p`` comes from ``_powers``' product ladder and the products are
+    summed by ``_dot``.  Neither sum's bits depend on the thread count.
     """
     if not 0 <= p <= _MAX_MOMENT:
         raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {p}")
     if p == 0:
-        return math.fsum(f.values.tolist()) * f.step
-    x = f.grid()
-    xp = x.copy()
-    for _ in range(p - 1):
-        xp *= x
+        return _fsum(f.values) * f.step
+    *_, xp = _powers(f.grid(), p)
     return _dot(xp, f.values) * f.step
 
 

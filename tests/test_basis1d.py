@@ -389,9 +389,10 @@ def _loop_refine_residual(basis, mf, J):
     return float(np.max(np.sum(np.abs(full - rhs), axis=0)))
 
 
-@pytest.mark.parametrize("name", ["haar", "db2", "db10"])
+@pytest.mark.parametrize("name", ["haar", "db2", "db4", "db7", "db10"])
 def test_refine_residual_matches_loop_bitwise(name):
     rng = np.random.default_rng(3)
+    entries = np.random.default_rng(4)
     for m in (1, 2, 3):
         b = build_vector_basis(filter_by_name(name), m)
         mf = matrix_refinement_filter(b)
@@ -399,6 +400,12 @@ def test_refine_residual_matches_loop_bitwise(name):
         # taps zeroed, reach the later columns and their scales
         noise = rng.standard_normal((5, m, m)) * (rng.random((5, 1, m)) < 0.7)
         filters = (mf, MatrixFilter(noise, -3, mf.dilation))
+        # single entries zeroed, so a term reaches only some rows; then
+        # -0.0 in their place, and a column of -0.0 alone
+        sparse = entries.standard_normal((6, m, m)) * (entries.random((6, m, m)) < 0.6)
+        signed = np.where(sparse == 0.0, -0.0, sparse)
+        signed[1, :, -1] = -0.0
+        filters += (MatrixFilter(sparse, -2, mf.dilation), MatrixFilter(signed, -2, mf.dilation))
         for f in filters:
             for J in (2 * m, 2 * m + 3):
                 got = refine_residual(b, f, J)

@@ -4,6 +4,11 @@ The SHA-256 digests below were taken from the roll-per-tap step kernel that
 preceded the polyphase one.  Any change to the periodized step, the band
 packing, the thresholding or the serializers that alters a single output
 bit, signed zeros included, fails here.
+
+``GOLDEN_REPORTS`` pins the bytes of ``run_verify``'s CSV report, taken
+before the zeroth moment's ``math.fsum`` over a Python list gave way to an
+exact sum at array speed and the refinement residual stopped forming its
+zero-coefficient products.  Its sampled rows are the ones those sums feed.
 """
 
 import hashlib
@@ -22,6 +27,7 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.cli import run_verify
 
 # (filter, d, m, n, levels, seed) -> digests of
 # (vdec, vdec at tau = 0.25, vwav of the synthesis, vwav of the thresholded synthesis)
@@ -83,3 +89,25 @@ def test_transform_bytes_match_golden(case):
         _digest(signal_to_bytes(synthesize_vector(cut, basis))),
     )
     assert got == GOLDEN[case]
+
+
+# (filter, d, m, profile, J) -> digest of run_verify(...).to_csv()
+GOLDEN_REPORTS = {
+    ("db10", 1, 1, "sampled", 10): "1500d2cb612947b628795d009f33bde2ecc78088fc87411228eac32923befcf3",
+    ("db10", 1, 1, "sampled", 16): "eb29579a938e64f8800af5ff519e8761320ea85fb46361a0de47d7b03b6e3a71",
+    ("db10", 1, 2, "sampled", 10): "646344841dbc5d1fbe3ad15a595c0c492f644998184039886d14c34111fe6a68",
+    ("db10", 1, 2, "sampled", 16): "f7a65ca82cf52e233561709073389cf85533d3498ac43a146de4923591e34e26",
+    ("db10", 1, 3, "sampled", 10): "411527a841a0271d5cb2122356e953c13d612aa94acaf7b55fdc4ea86f49dd8e",
+    ("db10", 1, 3, "sampled", 16): "d03648f89e815fa9bcbadb0da231954af3669c0681c1cddf9215d668f6c0c641",
+    ("haar", 2, 2, "exact", 10): "ed31b578dc1982eeee4f9f5e556d6f8b59a31e7372b7885912a0dab1553bd6f6",
+    ("haar", 2, 3, "exact", 10): "9331df88d87e9fe551d960888fba38d65f00d9b197ce202341c2e69caf6cc1f2",
+    ("db4", 2, 2, "sampled", 8): "d080058bc17dbc6d85b58405d25e017c4d1d308edf38c66dadf1b005a63a3805",
+    ("db2", 3, 2, "exact", 10): "e68bfed9073afd62ae88a0a3c83d3858272d407be9ffcb830c550b9c54bc72ca",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS), ids=lambda c: f"{c[0]}-d{c[1]}-m{c[2]}-{c[3]}-J{c[4]}")
+def test_verify_report_bytes_match_golden(case):
+    name, d, m, profile, J = case
+    report = run_verify(build_basis_nd(filter_by_name(name), d, m), J, profile)
+    assert _digest(report.to_csv().encode("ascii")) == GOLDEN_REPORTS[case]

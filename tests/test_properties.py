@@ -4,7 +4,10 @@ Examples are derandomized and bounded, so the suite draws the same cases on
 every run.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
@@ -24,6 +27,7 @@ from vecwave import (
     threshold_matrix,
 )
 from vecwave.cli import load_manifest
+from vecwave.scalar import _MAX_MOMENT, _dot, _fsum, _moments, moment, refine_sample
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -150,3 +154,79 @@ def test_mutated_manifests_raise_only_vecwave_errors(index, mutations):
     except VecwaveError:
         return
     assert catalog_manifest(basis) == text.replace("\r\n", "\n")
+
+
+@st.composite
+def float_arrays(draw):
+    """Up to 4096 floats for the exact sum.
+
+    Magnitudes span a drawn window of exponents anywhere from the
+    subnormals to the largest finite values, with a drawn share of signed
+    zeros and maybe exact x / -x pairs; or they fill one binade with
+    mantissas near 1, nearly all of one sign, so that the high parts of a
+    round sum to near n * max|x|, the most sigma allows for.  An array may
+    instead be all -0.0, or hold NaN or infinities.
+    """
+    n = draw(st.sampled_from((0, 1, 2, 31, 32, 33, 34, 64)) | st.integers(35, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # subnormals, the 2**+-900 edges and the top of the range, or anywhere
+    lo = draw(st.sampled_from((-1080, -1030, -960, -900, -60, 0, 850, 900, 1000)) | st.integers(-1080, 1023))
+    if draw(st.booleans()):
+        signs = rng.choice((-1.0, 1.0), n, p=(0.02, 0.98))
+        values = signs * np.ldexp(rng.uniform(0.96, 1.0, n), lo)
+    else:
+        hi = min(1024, lo + draw(st.sampled_from((0, 1, 8, 60, 200, 2104))))
+        signs = rng.choice((-1.0, 1.0), n)
+        values = signs * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n))
+        zeros = rng.random(n) < draw(st.sampled_from((0.0, 0.0, 0.1, 0.5, 1.0)))
+        values[zeros] = rng.choice((-0.0, 0.0), int(zeros.sum()))
+        if draw(st.booleans()):
+            values[: n // 2] = -values[n - n // 2 :]
+            values = rng.permutation(values)
+    kind = draw(st.sampled_from(["finite"] * 12 + ["-0.0", "nan", "inf", "-inf", "inf -inf", "nan inf"]))
+    if kind == "-0.0":
+        values = np.full(n, -0.0)
+    elif kind != "finite" and n:
+        specials = [float(word) for word in kind.split()]
+        values[rng.integers(0, n, len(specials))] = specials
+    return values
+
+
+def _fsum_outcome(fn, values):
+    """The hex of ``fn(values)``, or the type and text of what it raised."""
+    try:
+        return fn(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(float_arrays())
+def test_exact_sum_keeps_the_bits_of_fsum(values):
+    want = _fsum_outcome(lambda v: math.fsum(v.tolist()), values)
+    assert _fsum_outcome(_fsum, values) == want
+
+
+# moment as it was before the moments row shared one power ladder, p = 0
+# summed by math.fsum over a Python list
+def _per_order_moment(f, p):
+    if p == 0:
+        return math.fsum(f.values.tolist()) * f.step
+    x = f.grid()
+    xp = x.copy()
+    for _ in range(p - 1):
+        xp *= x
+    return _dot(xp, f.values) * f.step
+
+
+@pytest.mark.parametrize("name", ["haar"] + [f"db{N}" for N in range(2, 11)])
+def test_moment_ladder_keeps_the_bits_of_per_order_moments(name):
+    filt = filter_by_name(name)
+    for J in (0, 3, 10, 14):
+        for which in ("scaling", "wavelet"):
+            f = refine_sample(filt, which, J)
+            want = [_per_order_moment(f, p).hex() for p in range(_MAX_MOMENT + 1)]
+            assert [v.hex() for v in _moments(f, _MAX_MOMENT + 1)] == want, (J, which)
+            assert [moment(f, p).hex() for p in range(_MAX_MOMENT + 1)] == want, (J, which)
+            count = filt.vanishing_moments
+            assert [v.hex() for v in _moments(f, count)] == want[:count], (J, which)
