@@ -61,22 +61,24 @@ class VectorBasis1D:
         return 2**self.m
 
     def scaling_components(self) -> tuple:
-        return scaling_ladder(self.m)
+        return tuple(generator_component(self.m, 0, a, 0) for a in range(1, self.m + 1))
 
     def wavelet_components(self, t: int) -> tuple:
-        return wavelet_ladder(self.m, t)
+        return tuple(generator_component(self.m, 1, a, t) for a in range(1, self.m + 1))
 
 
-def scaling_ladder(m: int) -> tuple:
-    """The m channels of the scaling atom: phi, then psi at scales 0..m-2."""
-    return (Component("scaling", 0),) + tuple(Component("wavelet", s) for s in range(m - 1))
+def generator_component(m: int, eps: int, alpha: int, j: int) -> Component:
+    """Channel alpha of the level-j m-channel generator of kind eps.
 
-
-def wavelet_ladder(m: int, t: int) -> tuple:
-    """The m channels of wavelet level t: psi at scales m t + m - 1 onward."""
-    if t < 0:
-        raise ValueError(f"wavelet level must be >= 0, got {t}")
-    return tuple(Component("wavelet", m * t + m - 1 + r) for r in range(m))
+    eps = 0 is the scaling generator: phi at scale m j, then psi at scales
+    m j .. m j + m - 2.  Any other eps is the wavelet generator: psi at
+    scales m j + m - 1 onward.
+    """
+    if not 1 <= alpha <= m or j < 0:
+        raise ValueError(f"need alpha in 1..{m} and level j >= 0, got alpha={alpha}, j={j}")
+    if eps == 0 and alpha == 1:
+        return Component("scaling", m * j)
+    return Component("wavelet", m * j + alpha - 2 + (m if eps else 0))
 
 
 def build_vector_basis(filt: ScalarFilter, m: int) -> VectorBasis1D:
@@ -279,6 +281,9 @@ def to_multiwavelet(basis: VectorBasis1D) -> Multiwavelet:
 # translates of a factor key: a start moves by up to 2**26 per unit shift
 # (the deepest expansion's), so starts and their differences fit an int64
 _MAX_SHIFT = 2**35
+# keys of one factor Gram: its n x n table and pair index arrays peak at
+# about 28 n**2 bytes, 112 MiB at this bound
+_MAX_GRAM_KEYS = 2**11
 
 
 class FactorInnerCache:
@@ -316,6 +321,8 @@ class FactorInnerCache:
         ``+-2**35``, so that every expansion start fits an int64.
         """
         n = len(keys)
+        if n > _MAX_GRAM_KEYS:
+            raise SizeGuardError(f"factor Gram guard is {_MAX_GRAM_KEYS} keys, got {n}")
         if any(abs(key[2]) > _MAX_SHIFT for key in keys):
             raise SizeGuardError(f"factor translates must lie within +-2**35, got {max(abs(key[2]) for key in keys)}")
         descs = list(dict.fromkeys(key[:2] for key in keys))
@@ -403,10 +410,7 @@ def from_multiwavelet(mw: Multiwavelet, tol: float = 1e-10) -> VectorBasis1D:
         raise NotOrthonormalError(
             f"generator translates deviate from orthonormality by {dev:.3e}"
         )
-    m = len(mw.scaling)
-    basis = VectorBasis1D(mw.filter, m)
-    if tuple(mw.scaling) != basis.scaling_components() or tuple(
-        mw.wavelets
-    ) != basis.wavelet_components(0):
+    basis = VectorBasis1D(mw.filter, len(mw.scaling))
+    if (tuple(mw.scaling), tuple(mw.wavelets)) != (basis.scaling_components(), basis.wavelet_components(0)):
         raise ValueError("generator scales do not form the laddered layout")
     return basis

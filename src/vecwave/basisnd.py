@@ -24,14 +24,16 @@ sets, one per i0; and the diagonal S_pp - 1 is taken row by row.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
 from .basis1d import FactorInnerCache, Multiwavelet, build_vector_basis, to_multiwavelet
-from .errors import SizeGuardError
-from .scalar import MAX_TABLE_SAMPLES, ScalarFilter, scaled_atom_sample
+from .errors import FileFormatError, SizeGuardError
+from .scalar import MAX_TABLE_SAMPLES, ScalarFilter, filter_by_name, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction
 from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, factor_component
 
@@ -58,7 +60,7 @@ class Partition:
             if len(block) != self.m or len(set(block)) != self.m:
                 raise ValueError(f"block {block} must hold m={self.m} distinct rows")
             for row in block:
-                if len(row) != self.d or not all(1 <= a <= self.m for a in row):
+                if len(row) != self.d or not all(isinstance(a, Integral) and 1 <= a <= self.m for a in row):
                     raise ValueError(f"row {row} must hold d={self.d} entries in 1..{self.m}")
             if seen & set(block):
                 raise ValueError("blocks must be pairwise disjoint")
@@ -427,6 +429,33 @@ def catalog_star_deviation(
     return max(worst, float(np.abs(prod - 1.0).max()))
 
 
+def _rows_text(rows) -> str:
+    """A block's rows as manifest text: ``1,1;2,2``, rows in order."""
+    return ";".join(",".join(str(int(a)) for a in row) for row in rows)
+
+
+def _parse_rows(text: str) -> tuple:
+    """The rows of ``_rows_text``; ValueError if an index is not an integer."""
+    return tuple(tuple(int(a) for a in row.split(",")) for row in text.split(";"))
+
+
+def _departure(text: str, got) -> FileFormatError:
+    """The refusal of `got` (a str, or bytes-like read as ASCII), which does
+    not start with the manifest `text`: it names the first line of `text`
+    that `got` does not hold in place.  Lines are compared whole, so the
+    search costs one slice per line, not a step per byte.
+    """
+    want = text if isinstance(got, str) else text.encode("ascii")
+    lines = text.split("\n")
+    start = 0
+    for k, line in enumerate(lines):
+        end = start + len(line) + 1
+        if got[start:end] != want[start:end]:
+            break
+        start = end
+    return FileFormatError(f"manifest line {k + 1} departs from {lines[k]!r}, the line its header and partition fix")
+
+
 def catalog_manifest(basis: BasisND) -> str:
     """Plain-text family listing, one line per family.
 
@@ -437,11 +466,51 @@ def catalog_manifest(basis: BasisND) -> str:
         f"filter={basis.mw.filter.name} d={basis.d} m={basis.m} "
         f"dilation={2**basis.m} blocks={len(basis.partition.blocks)}"
     ]
+    # the families of one block share its rows, so each block's text is
+    # formed once: a d = 6 manifest lists 65 536 families over 1 024 blocks
+    texts = {}
     for fams in basis.families:
         for fam in fams:
             eps = "".join(str(b) for b in fam.eps)
-            rows = ";".join(",".join(str(a) for a in row) for row in fam.rows)
-            lines.append(
-                f"family={fam.name} eps={eps} block={fam.block} rows={rows}"
-            )
+            rows = texts.get(fam.rows) or texts.setdefault(fam.rows, _rows_text(fam.rows))
+            lines.append(f"family={fam.name} eps={eps} block={fam.block} rows={rows}")
     return "\n".join(lines) + "\n"
+
+
+# the header fields that fix a manifest; at most 20 digits, so int() never
+# meets a huge field
+_MANIFEST_HEAD = re.compile(r"filter=(\S+) d=([0-9]{1,20}) m=([0-9]{1,20})(?= |$)")
+
+
+def load_manifest(text: str) -> BasisND:
+    """Rebuild a basis from the manifest ``catalog_manifest`` writes for it.
+
+    Only the header's filter, d and m are parsed, then the ``rows=`` of the
+    m^(d-1) lines after it, the scaling families in block order, which give
+    the partition.  These fix the basis, and the whole text, CRLF line ends
+    read as LF, must be its manifest: any other difference is refused,
+    naming the first line that departs.
+    """
+    text = text.replace("\r\n", "\n")
+    header = text.split("\n", 1)[0]
+    head = _MANIFEST_HEAD.match(header)
+    if not head:
+        raise FileFormatError(f"malformed manifest header: {header!r}")
+    d, m = int(head.group(2)), int(head.group(3))
+    # checked before the block count m ** (d - 1) and the basis grow with the fields
+    if not (1 <= d <= MAX_ENUM_D and 1 <= m <= MAX_ENUM_M):
+        raise FileFormatError(f"manifest needs 1 <= d <= {MAX_ENUM_D}, 1 <= m <= {MAX_ENUM_M}; got d={d} m={m}")
+    try:
+        filt = filter_by_name(head.group(1))
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
+    lines = text.split("\n", m ** (d - 1) + 1)[1 : m ** (d - 1) + 1]
+    try:
+        partition = Partition(d, m, tuple(_parse_rows(line.rpartition(" rows=")[2]) for line in lines))
+    except ValueError as exc:
+        raise FileFormatError(f"invalid partition: {exc}") from exc
+    basis = build_basis_nd(filt, d, m, partition)
+    expected = catalog_manifest(basis)
+    if text != expected:
+        raise _departure(expected, text)
+    return basis

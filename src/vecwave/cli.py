@@ -9,7 +9,6 @@ failure, 2 input or usage error.
 
 import argparse
 import math
-import re
 import sys
 from dataclasses import dataclass
 
@@ -23,11 +22,11 @@ from .basis1d import (
 )
 from .basisnd import (
     BasisND,
-    Partition,
     build_basis_nd,
     catalog_manifest,
     catalog_star_deviation,
     check_sweep_size,
+    load_manifest,
     make_atom,
     sample_vector_atom_nd,
 )
@@ -41,7 +40,7 @@ from .scalar import (
     scaled_atom_sample,
 )
 from .svgplot import raster_svg, step_polyline_svg
-from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, enumerate_families
+from .tensor import MAX_SAMPLE_D, enumerate_families
 from .transform import (
     VectorSignal,
     _decomposition_chunks,
@@ -68,60 +67,6 @@ _PROFILES = {
 
 # the catalog of the gram-nd row: wavelet levels <= 1, translates |k| <= 1
 _CATALOG_LEVEL, _CATALOG_K = 1, 1
-
-# integer fields are limited to 20 digits, so int() never meets a huge field
-_MANIFEST_HEAD = re.compile(
-    r"^filter=(\S+) d=([0-9]{1,20}) m=([0-9]{1,20}) dilation=([0-9]{1,20}) blocks=([0-9]{1,20})$"
-)
-_MANIFEST_FAM = re.compile(r"^family=(\S+) eps=([01]+) block=([0-9]{1,20}) rows=(\S+)$")
-
-
-def load_manifest(text: str) -> BasisND:
-    """Rebuild a basis from its manifest text, rejecting inconsistent files."""
-    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
-    if not lines:
-        raise FileFormatError("empty manifest")
-    head = _MANIFEST_HEAD.match(lines[0])
-    if not head:
-        raise FileFormatError(f"malformed manifest header: {lines[0]!r}")
-    name = head.group(1)
-    d, m, dilation, nblocks = (int(head.group(i)) for i in (2, 3, 4, 5))
-    # checked before "0" * d, 2**m and the block list grow with the fields
-    if not (1 <= d <= MAX_ENUM_D and 1 <= m <= MAX_ENUM_M):
-        raise FileFormatError(f"manifest needs 1 <= d <= {MAX_ENUM_D}, 1 <= m <= {MAX_ENUM_M}; got d={d} m={m}")
-    if nblocks != m ** (d - 1):
-        raise FileFormatError(f"manifest lists {nblocks} blocks, d={d} m={m} has {m ** (d - 1)}")
-    try:
-        filt = filter_by_name(name)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
-    if dilation != 2**m:
-        raise FileFormatError(f"dilation {dilation} does not match m={m}")
-    blocks = [None] * nblocks
-    for line in lines[1:]:
-        fam = _MANIFEST_FAM.match(line)
-        if not fam:
-            raise FileFormatError(f"malformed manifest line: {line!r}")
-        if fam.group(2) != "0" * d:
-            continue
-        block = int(fam.group(3))
-        if not 0 <= block < nblocks:
-            raise FileFormatError(f"block index {block} out of range")
-        try:
-            rows = tuple(tuple(int(a) for a in row.split(",")) for row in fam.group(4).split(";"))
-        except ValueError as exc:
-            raise FileFormatError(f"malformed rows in: {line!r}") from exc
-        blocks[block] = rows
-    if any(b is None for b in blocks):
-        raise FileFormatError("manifest does not list every partition block")
-    try:
-        basis = build_basis_nd(filt, d, m, Partition(d, m, tuple(blocks)))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
-    if catalog_manifest(basis) != text.replace("\r\n", "\n"):
-        raise FileFormatError("manifest text does not match its own catalog")
-    return basis
-
 
 @dataclass(frozen=True)
 class VerifyReport:

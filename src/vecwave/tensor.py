@@ -5,9 +5,9 @@ coordinatewise into (2m)^d atom shapes per level, organized into subband
 families by the number e of wavelet coordinates.  Level t advances every
 coordinate by the m-fold dyadic step, so factor scales stay disjoint
 across levels and the products remain orthonormal.  `factor_component`
-names the scalar factor behind one coordinate of a shape; the catalog
-and its Gram sweep read it, and the transform's band layout reads
-`ladder_component`, the same map over the generator components alone.
+names the scalar factor behind one coordinate of a shape; it is
+`basis1d.generator_component`, the one generator ladder, which the
+transform's band layout reads too.
 A one-row `basisnd.VectorAtomND` is a separable scalar atom, sampled
 densely by `basisnd.sample_vector_atom_nd`.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .basis1d import Component, Multiwavelet
+from .basis1d import Component, Multiwavelet, generator_component
 from .errors import SizeGuardError
 
 MAX_ENUM_D = 6
@@ -68,15 +68,4 @@ def enumerate_families(d: int, m: int) -> list:
 
 def factor_component(mw: Multiwavelet, eps_i: int, alpha_i: int, j: int) -> Component:
     """The scalar component behind coordinate factor (eps_i, alpha_i) at level j."""
-    return ladder_component(mw.scaling, mw.wavelets, eps_i, alpha_i, j)
-
-
-def ladder_component(scaling: tuple, wavelets: tuple, eps_i: int, alpha_i: int, j: int) -> Component:
-    """`factor_component` over the m scaling and m wavelet generator components."""
-    m = len(scaling)
-    gens = scaling if eps_i == 0 else wavelets
-    if not 1 <= alpha_i <= m:
-        raise ValueError(f"alpha must lie in 1..{m}, got {alpha_i}")
-    comp = gens[alpha_i - 1]
-    return Component(comp.kind, comp.scale + m * j)
-
+    return generator_component(mw.m, eps_i, alpha_i, j)

@@ -30,7 +30,7 @@ lists them in file order.  Analysis packs by it, and a
 synthesis and the encoder take its bands as they are.  The `.vdec`
 decoder parses only the header and the partition line, writes the
 manifest they fix and refuses a file that does not start with exactly
-that text, as a basis manifest is rebuilt from its header and must match.
+that text, as `basisnd.load_manifest` does with a basis manifest.
 
 Signals and bands own their arrays by `scalar._frozen`'s rule.  Analysis
 and synthesis hand over their fresh results uncopied, and the decoders
@@ -65,11 +65,11 @@ import re
 
 import numpy as np
 
-from .basis1d import VectorBasis1D, scaling_ladder, to_multiwavelet, wavelet_ladder
-from .basisnd import BasisND, Partition, cyclic_partition
+from .basis1d import VectorBasis1D, generator_component, to_multiwavelet
+from .basisnd import BasisND, Partition, _departure, _parse_rows, _rows_text, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter, _frozen
-from .tensor import MAX_SAMPLE_D, ladder_component
+from .tensor import MAX_SAMPLE_D
 
 __all__ = [
     "Band",
@@ -449,12 +449,12 @@ def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
     The base family's blocks come first, then each level t finest first,
     its orientations eps in lexicographic order, each over the blocks.  Row
     alpha of a block gives the column whose axis i holds the factor
-    (eps_i, alpha_i) at level t of the m-channel generator ladder, which
-    depends on m alone; catalog scale 0 is the transform's coarsest scale
+    `basis1d.generator_component(m, eps_i, alpha_i, t)`, which depends on
+    m alone; catalog scale 0 is the transform's coarsest scale
     s0, and a column of scale s holds 2**s translates.  It is not cached:
-    analysis, the decoder and synthesis each build it once per call.
+    analysis, the decoder and every `VectorDecomposition` constructor each
+    build it once per call; synthesis reads the bands, which match it.
     """
-    scaling, wavelets = scaling_ladder(m), wavelet_ladder(m, 0)
     families = [((0,) * d, -1)]
     families += [(eps, t) for t in range(levels) for eps in product((0, 1), repeat=d) if any(eps)]
     out = []
@@ -462,7 +462,7 @@ def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
         bits = "".join(str(b) for b in eps)
         desc = {}
         for e, a in product((0, 1), range(1, m + 1)):
-            c = ladder_component(scaling, wavelets, e, a, max(level, 0))
+            c = generator_component(m, e, a, max(level, 0))
             desc[e, a] = (_SUBBAND_KIND[c.kind], s0 + c.scale, 2 ** (s0 + c.scale))
         for block, rows in enumerate(blocks):
             cols = tuple(tuple(desc[ea] for ea in zip(eps, alpha)) for alpha in rows)
@@ -654,7 +654,7 @@ def _manifest(d, m, n, levels, filter_name, blocks, heads) -> str:
     # int(): a field equal to its layout's may be a bool or a float, whose str the decoder refuses
     lines = [
         f"VDEC1 d={int(d)} m={int(m)} n={int(n)} levels={int(levels)} filter={filter_name} bands={len(heads)}",
-        "partition=" + "/".join(";".join(",".join(str(int(a)) for a in row) for row in block) for block in blocks),
+        "partition=" + "/".join(_rows_text(block) for block in blocks),
     ]
     for key, eps, level, block, cols in heads:
         bits = "".join(str(int(b)) for b in eps)
@@ -709,10 +709,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     if not part_line.startswith("partition="):
         raise FileFormatError("missing partition line")
     try:
-        blocks = tuple(
-            tuple(tuple(int(a) for a in row.split(",")) for row in block.split(";"))
-            for block in part_line[len("partition="):].split("/")
-        )
+        blocks = tuple(_parse_rows(block) for block in part_line[len("partition="):].split("/"))
         partition = Partition(d, m, blocks)
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
@@ -720,12 +717,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
     text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
     head = text.encode("ascii")
     if data[: len(head)] != head:
-        first = next((i for i, (a, b) in enumerate(zip(data, head)) if a != b), len(data))
-        line = head.count(b"\n", 0, first)
-        raise FileFormatError(
-            f"manifest line {line + 1} departs from {text.splitlines()[line]!r}, "
-            "the line its header and partition fix"
-        )
+        raise _departure(text, data)
     shapes = [_band_shape(m, cols) for *_, cols in layout]
     expected = len(head) + 8 * sum(math.prod(shape) for shape in shapes)
     if len(data) != expected:

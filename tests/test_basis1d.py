@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from vecwave.basis1d import (
     Component,
+    FactorInnerCache,
     MatrixFilter,
     Multiwavelet,
     build_vector_basis,
@@ -14,7 +15,7 @@ from vecwave.basis1d import (
     to_multiwavelet,
     translate_gram_deviation,
 )
-from vecwave.basisnd import build_basis_nd, make_atom, sample_vector_atom_nd
+from vecwave.basisnd import build_basis_nd, catalog_star_deviation, make_atom, sample_vector_atom_nd
 from vecwave.errors import NotOrthonormalError, ResolutionError, SizeGuardError
 from vecwave.scalar import (
     ScalarFilter,
@@ -322,6 +323,18 @@ def test_expand_factor_guards():
         expand_factor(filt, "scaling", 0, 0, 60)
     assert expand_factor(filt, "scaling", 3, 7, 3)[0].tolist() == [1.0]
     assert expand_factor(filt, "scaling", 3, 7, 3)[1] == 7
+
+
+def test_factor_gram_is_bounded_by_its_key_count():
+    cache = FactorInnerCache(haar_filter(), 8)
+    keys = [("scaling", 0, k) for k in range(2**11 + 1)]
+    with pytest.raises(SizeGuardError, match="2048 keys, got 2049"):
+        cache.gram(keys)
+    assert_array_equal(cache.gram(keys[:-1]), np.eye(2**11))
+    # 32 766 atom rows pass MAX_SWEEP_ROWS, but their 32 766 keys would ask
+    # for a 4 GiB pair table
+    with pytest.raises(SizeGuardError, match="factor Gram guard"):
+        catalog_star_deviation(build_basis_nd(haar_filter(), 1, 1), 0, 8191, 8)
 
 
 def test_refine_residual_haar():

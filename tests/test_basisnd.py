@@ -82,6 +82,13 @@ def test_partition_validation():
         Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (2, 3))))
     with pytest.raises(ValueError, match="entries in 1..2"):
         Partition(2, 2, (((1, 1), (2, 2)), ((1, 2), (2,))))
+    # entries are integers: the manifest writes each one as an int
+    for bad in (1.5, 1.0):
+        with pytest.raises(ValueError, match="entries in 1..2"):
+            Partition(1, 2, (((bad,), (2,)),))
+    loose = Partition(2, 2, (((True, 1), (2, 2)), ((np.int64(1), 2), (2, 1))))
+    text = catalog_manifest(build_basis_nd(haar_filter(), 2, 2, loose))
+    assert text == catalog_manifest(build_basis_nd(haar_filter(), 2, 2))
 
 
 def test_catalog_d2_m2():

@@ -1,5 +1,6 @@
 """End-to-end command-line tests through main(argv)."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -30,7 +31,7 @@ from vecwave import (
 )
 from vecwave.basisnd import catalog_manifest
 from vecwave.cli import load_manifest, main
-from vecwave.errors import FileFormatError
+from vecwave.errors import FileFormatError, VecwaveError
 
 
 def build_manifest(tmp_path, name="haar", d=2, m=2):
@@ -166,7 +167,33 @@ def test_verify_rejects_oversized_manifest_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == len(heads) + 1
     assert err.count("1 <= d <= 6, 1 <= m <= 4") == 5
-    assert err.count("malformed manifest") == 3
+    assert err.count("malformed manifest") == 1
+    assert err.count("manifest line") == 4
+
+
+def test_manifest_reader_is_the_library_one():
+    # the bench and CI import it from the CLI module
+    assert load_manifest is vecwave.basisnd.load_manifest
+
+
+@pytest.mark.parametrize("tail", [" ", "\t"])
+def test_manifest_refusal_names_the_edited_line(tail):
+    # trailing whitespace after a field leaves the header and the partition
+    # as they were, so each edit is refused at its own line
+    good = catalog_manifest(build_basis_nd(haar_filter(), 2, 2))
+    lines = good.split("\n")[:-1]
+    for k, line in enumerate(lines):
+        bad = "\n".join(lines[:k] + [line + tail] + lines[k + 1 :]) + "\n"
+        with pytest.raises(FileFormatError) as err:
+            load_manifest(bad)
+        assert str(err.value) == (
+            f"manifest line {k + 1} departs from {line!r}, the line its header and partition fix"
+        )
+    # past the last line, the expected line is the end of the file
+    for bad in (good + "x", good + "\n", good.replace("\n", "\r\n") + "\r\n"):
+        with pytest.raises(FileFormatError, match=f"^manifest line {len(lines) + 1} departs from ''"):
+            load_manifest(bad)
+    assert catalog_manifest(load_manifest(good.replace("\n", "\r\n"))) == good
 
 
 def test_verify_refuses_an_oversized_sweep(tmp_path, capsys):
@@ -515,6 +542,39 @@ def test_inverse_refuses_an_edited_manifest(tmp_path, capsys, old, new):
                  "--out", str(rec), "--inverse"]) == 2
     assert "departs from" in capsys.readouterr().err
     assert not rec.exists()
+
+
+def test_vdec_single_byte_edits_keep_their_messages():
+    # every one-byte replacement, deletion and insertion in the manifest of
+    # a small .vdec, decoded; the digest pins the outcome of each edit, in
+    # order, as the decoder gave it when it found the departing line by a
+    # byte-wise scan
+    basis = build_basis_nd(haar_filter(), 1, 2)
+    blob = decomposition_to_bytes(analyze_vector(VectorSignal(np.arange(4.0).reshape(2, 2)), basis, 0))
+    head = blob.index(b"end\n") + 4
+    assert head == 102
+
+    def edits():
+        for pos in range(head):
+            for b in range(256):
+                if b != blob[pos]:
+                    yield blob[:pos] + bytes([b]) + blob[pos + 1 :]
+            yield blob[:pos] + blob[pos + 1 :]
+        for pos in range(head + 1):
+            for b in range(256):
+                yield blob[:pos] + bytes([b]) + blob[pos:]
+
+    outcomes = []
+    for edited in edits():
+        try:
+            decomposition_from_bytes(edited)
+            outcomes.append("accepted")
+        except VecwaveError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert len(outcomes) == 52480
+    assert sum("departs from" in o for o in outcomes) == 21053
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "d738e9e4a6604e9e99ed3513bc2bb628f1ad85638132ec8c56128e40ca34a59c"
 
 
 @pytest.mark.parametrize("flags", [["--levels", "3"], ["--threshold", "5"], ["--threshold", "5", "--levels", "3"],

@@ -5,6 +5,7 @@ every run.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,11 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
+from vecwave.basisnd import Partition
 from vecwave.cli import load_manifest
+from vecwave.errors import FileFormatError
 from vecwave.scalar import _MAX_MOMENT, _dot, _fsum, _moments, moment, refine_sample
+from vecwave.tensor import MAX_ENUM_D, MAX_ENUM_M
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -154,6 +158,120 @@ def test_mutated_manifests_raise_only_vecwave_errors(index, mutations):
     except VecwaveError:
         return
     assert catalog_manifest(basis) == text.replace("\r\n", "\n")
+
+
+# The basis-manifest reader as it stood before it rebuilt the whole text
+# from the header and partition: it parsed every line, then compared the
+# text with the catalog it built.  Kept verbatim as the oracle of the
+# accepted set.
+_OLD_MANIFEST_HEAD = re.compile(
+    r"^filter=(\S+) d=([0-9]{1,20}) m=([0-9]{1,20}) dilation=([0-9]{1,20}) blocks=([0-9]{1,20})$"
+)
+_OLD_MANIFEST_FAM = re.compile(r"^family=(\S+) eps=([01]+) block=([0-9]{1,20}) rows=(\S+)$")
+
+
+def _old_load_manifest(text):
+    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+    if not lines:
+        raise FileFormatError("empty manifest")
+    head = _OLD_MANIFEST_HEAD.match(lines[0])
+    if not head:
+        raise FileFormatError(f"malformed manifest header: {lines[0]!r}")
+    name = head.group(1)
+    d, m, dilation, nblocks = (int(head.group(i)) for i in (2, 3, 4, 5))
+    if not (1 <= d <= MAX_ENUM_D and 1 <= m <= MAX_ENUM_M):
+        raise FileFormatError(f"manifest needs 1 <= d <= {MAX_ENUM_D}, 1 <= m <= {MAX_ENUM_M}; got d={d} m={m}")
+    if nblocks != m ** (d - 1):
+        raise FileFormatError(f"manifest lists {nblocks} blocks, d={d} m={m} has {m ** (d - 1)}")
+    try:
+        filt = filter_by_name(name)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
+    if dilation != 2**m:
+        raise FileFormatError(f"dilation {dilation} does not match m={m}")
+    blocks = [None] * nblocks
+    for line in lines[1:]:
+        fam = _OLD_MANIFEST_FAM.match(line)
+        if not fam:
+            raise FileFormatError(f"malformed manifest line: {line!r}")
+        if fam.group(2) != "0" * d:
+            continue
+        block = int(fam.group(3))
+        if not 0 <= block < nblocks:
+            raise FileFormatError(f"block index {block} out of range")
+        try:
+            rows = tuple(tuple(int(a) for a in row.split(",")) for row in fam.group(4).split(";"))
+        except ValueError as exc:
+            raise FileFormatError(f"malformed rows in: {line!r}") from exc
+        blocks[block] = rows
+    if any(b is None for b in blocks):
+        raise FileFormatError("manifest does not list every partition block")
+    try:
+        basis = build_basis_nd(filt, d, m, Partition(d, m, tuple(blocks)))
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
+    if catalog_manifest(basis) != text.replace("\r\n", "\n"):
+        raise FileFormatError("manifest text does not match its own catalog")
+    return basis
+
+
+def _verdict(load, text):
+    try:
+        return catalog_manifest(load(text))
+    except VecwaveError:
+        return "refused"
+
+
+# an edit at a drawn offset from the end of a drawn line, where line ends,
+# CR and whitespace decide between accepted and refused
+line_end_edits = st.tuples(
+    st.sampled_from(("replace", "insert", "delete")),
+    st.integers(0, 2**10),
+    st.integers(-2, 1),
+    st.one_of(st.sampled_from(b"\r\n "), TOKEN_BYTES, st.integers(0, 255)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(
+    st.integers(0, len(VALID_MANIFESTS) - 1),
+    st.booleans(),
+    st.lists(st.integers(0, 2**10), max_size=2),
+    st.lists(st.one_of(edits, line_end_edits), max_size=4),
+)
+def test_manifest_reader_accepts_what_the_line_parser_accepted(index, crlf, swap, mutations):
+    # a valid manifest, maybe with CRLF line ends, two of its lines swapped
+    # and a few bytes edited: both readers accept it with the same catalog,
+    # or both refuse it
+    lines = VALID_MANIFESTS[index].split(b"\n")
+    if len(swap) == 2:
+        a, b = (i % len(lines) for i in swap)
+        lines[a], lines[b] = lines[b], lines[a]
+    blob = (b"\r\n" if crlf else b"\n").join(lines)
+    ends = [i for i, byte in enumerate(blob) if byte == ord("\n")]
+    mutations = [
+        (edit[0], max(0, ends[edit[1] % len(ends)] + edit[2]), edit[3]) if len(edit) == 4 else edit
+        for edit in mutations
+    ]
+    text = _mutate(blob, mutations).decode("latin-1")
+    assert _verdict(load_manifest, text) == _verdict(_old_load_manifest, text)
+
+
+def test_manifest_reader_agrees_at_the_edge_of_valid():
+    # whitespace and line-end edits that a lenient reader would let through
+    for blob in VALID_MANIFESTS:
+        text = blob.decode("ascii")
+        lines = text.split("\n")
+        variants = [text, text + "\n", text[:-1], "\n" + text, text + "\r\n", text + "\r", text + " "]
+        variants.append(text.replace("\n", "\r\n", 1))
+        for k in range(len(lines) - 1):
+            for edit in (lines[k] + " ", lines[k] + "\r", lines[k] + "\t", " " + lines[k], lines[k].replace(" ", "  ", 1), ""):
+                variants.append("\n".join(lines[:k] + [edit] + lines[k + 1 :]))
+        for variant in variants:
+            verdict = _verdict(load_manifest, variant)
+            assert verdict == _verdict(_old_load_manifest, variant), repr(variant)
+            # only CRLF line ends are forgiven
+            assert (verdict != "refused") == (variant.replace("\r\n", "\n") == text), repr(variant)
 
 
 @st.composite
