@@ -480,6 +480,8 @@ def catalog_manifest(basis: BasisND) -> str:
 # the header fields that fix a manifest; at most 20 digits, so int() never
 # meets a huge field
 _MANIFEST_HEAD = re.compile(r"filter=(\S+) d=([0-9]{1,20}) m=([0-9]{1,20})(?= |$)")
+# the most of a malformed header line that its refusal quotes
+_HEAD_QUOTE = 80
 
 
 def load_manifest(text: str) -> BasisND:
@@ -495,7 +497,8 @@ def load_manifest(text: str) -> BasisND:
     header = text.split("\n", 1)[0]
     head = _MANIFEST_HEAD.match(header)
     if not head:
-        raise FileFormatError(f"malformed manifest header: {header!r}")
+        cut = f" (first {_HEAD_QUOTE} of {len(header)} characters)" if len(header) > _HEAD_QUOTE else ""
+        raise FileFormatError(f"malformed manifest header: {header[:_HEAD_QUOTE]!r}{cut}")
     d, m = int(head.group(2)), int(head.group(3))
     # checked before the block count m ** (d - 1) and the basis grow with the fields
     if not (1 <= d <= MAX_ENUM_D and 1 <= m <= MAX_ENUM_M):
@@ -511,6 +514,8 @@ def load_manifest(text: str) -> BasisND:
         raise FileFormatError(f"invalid partition: {exc}") from exc
     basis = build_basis_nd(filt, d, m, partition)
     expected = catalog_manifest(basis)
+    if text + "\n" == expected:
+        raise FileFormatError("manifest is missing its final newline")
     if text != expected:
         raise _departure(expected, text)
     return basis

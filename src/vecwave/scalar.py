@@ -516,7 +516,7 @@ def _powers(x: np.ndarray, top: int):
 def _moments(f: SampledFunction, count: int) -> list:
     """``[moment(f, p) for p in range(count)]``, bit for bit, on one ladder."""
     if count > _MAX_MOMENT + 1:
-        raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {_MAX_MOMENT + 1}")
+        raise ValueError(f"moment order must be in 0..{_MAX_MOMENT}, got {count - 1}")
     if count <= 0:
         return []
     sums = [_fsum(f.values)] + [_dot(xp, f.values) for xp in _powers(f.grid(), count - 1)]

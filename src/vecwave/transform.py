@@ -373,25 +373,22 @@ class VectorDecomposition:
 # analysis / synthesis
 
 
-def _basis_params(basis, signal_d: int, signal_m: int):
-    """The basis's multiwavelet and block partition.
+def _basis_params(basis, values, what: str):
+    """The basis's multiwavelet and block partition, refused unless it has
+    the d and m of `values`, the `what` ("signal" or "decomposition") it
+    transforms.
 
     A `VectorBasis1D` passes `to_multiwavelet`'s checks, as every
     `build_basis_nd` does.
     """
     if isinstance(basis, VectorBasis1D):
-        if signal_d != 1:
-            raise DimensionError(f"1D basis cannot transform a {signal_d}D signal")
-        mw = to_multiwavelet(basis)
-        part = cyclic_partition(1, basis.m)
+        basis_d, mw, part = 1, to_multiwavelet(basis), cyclic_partition(1, basis.m)
     elif isinstance(basis, BasisND):
-        if basis.d != signal_d:
-            raise DimensionError(f"basis dimension {basis.d} does not match signal dimension {signal_d}")
-        mw, part = basis.mw, basis.partition
+        basis_d, mw, part = basis.d, basis.mw, basis.partition
     else:
         raise TypeError(f"basis must be VectorBasis1D or BasisND, got {type(basis).__name__}")
-    if mw.m != signal_m:
-        raise DimensionError(f"basis has {mw.m} channels but signal has {signal_m}")
+    if (basis_d, mw.m) != (values.d, values.m):
+        raise DimensionError(f"basis is d={basis_d} m={mw.m}, {what} is d={values.d} m={values.m}")
     return mw, part
 
 
@@ -495,7 +492,7 @@ def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposit
     The per-channel scalar pyramid runs m * levels + m - 1 steps deep;
     levels is capped by log2(n) accordingly.
     """
-    mw, part = _basis_params(basis, signal.d, signal.m)
+    mw, part = _basis_params(basis, signal, "signal")
     filt, m = mw.filter, mw.m
     smax = signal.n.bit_length() - 1
     if levels < 0:
@@ -547,7 +544,7 @@ def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
     bands match their layout, as every VectorDecomposition's do, so only
     their masked slots are checked: each must hold +-0.0.
     """
-    mw, part = _basis_params(basis, dec.d, dec.m)
+    mw, part = _basis_params(basis, dec, "decomposition")
     filt, m = mw.filter, mw.m
     if filt.name != dec.filter_name:
         raise ValueError(f"decomposition was built with {dec.filter_name}, basis carries {filt.name}")

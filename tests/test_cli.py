@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vecwave
-from vecwave import cli
+from vecwave import cli, verify
 from vecwave import (
     VectorSignal,
     analyze_vector,
@@ -105,7 +105,7 @@ def test_verify_db2_exact_fails_sampled_passes(tmp_path, capsys, monkeypatch):
     report = tmp_path / "report.csv"
     assert main(["verify", "--manifest", str(manifest), "--report", str(report)]) == 0
     assert ",fail" not in report.read_text()
-    monkeypatch.setattr(cli, "translate_gram_deviation", lambda mw, J, k_range: 5.1e-5)
+    monkeypatch.setattr(verify, "translate_gram_deviation", lambda mw, J, k_range: 5.1e-5)
     rc = main(["verify", "--manifest", str(manifest), "--report", str(report)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -121,8 +121,8 @@ def test_verify_refuses_d4_before_any_sweep(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a Gram sweep ran before the refusal")
 
-    monkeypatch.setattr(cli, "translate_gram_deviation", never)
-    monkeypatch.setattr(cli, "catalog_star_deviation", never)
+    monkeypatch.setattr(verify, "translate_gram_deviation", never)
+    monkeypatch.setattr(verify, "catalog_star_deviation", never)
     assert main(["verify", "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert "d <= 3" in err and "d=4" in err
@@ -174,6 +174,60 @@ def test_verify_rejects_oversized_manifest_fields(tmp_path, capsys):
 def test_manifest_reader_is_the_library_one():
     # the bench and CI import it from the CLI module
     assert load_manifest is vecwave.basisnd.load_manifest
+
+
+def test_cli_reexports_the_library_verify():
+    # the bench, CI and the golden-bytes tests import these from the CLI module
+    assert cli.run_verify is verify.run_verify
+    assert cli.VerifyReport is verify.VerifyReport
+    assert cli.load_manifest is vecwave.basisnd.load_manifest
+
+
+def test_run_verify_refuses_an_unknown_profile():
+    with pytest.raises(ValueError, match="^profile must be one of exact, sampled, got 'loose'$"):
+        verify.run_verify(build_basis_nd(haar_filter(), 1, 1), 6, "loose")
+
+
+@pytest.mark.parametrize("ends", ["lf", "crlf", "cr", "mixed", "trailing-cr"])
+def test_verify_reads_line_ends_by_the_loaders_rule(tmp_path, ends):
+    # the CLI reads a manifest's bytes, so it refuses exactly what
+    # load_manifest refuses: CRLF reads as LF, a lone CR anywhere is refused
+    good = build_manifest(tmp_path).read_bytes()
+    data = {
+        "lf": good,
+        "crlf": good.replace(b"\n", b"\r\n"),
+        "cr": good.replace(b"\n", b"\r"),
+        "mixed": good.replace(b"\n", b"\r\n").replace(b"\r\n", b"\r", 1),
+        "trailing-cr": good[:-1] + b"\r",
+    }[ends]
+    path = tmp_path / f"{ends}.txt"
+    path.write_bytes(data)
+    try:
+        load_manifest(data.decode("ascii"))
+        refused = False
+    except VecwaveError:
+        refused = True
+    assert refused == (ends not in ("lf", "crlf"))
+    assert (main(["verify", "--manifest", str(path)]) == 2) == refused
+
+
+def test_malformed_header_refusal_quotes_a_bounded_prefix():
+    with pytest.raises(FileFormatError) as err:
+        load_manifest("filter=haar d=x\n")
+    assert str(err.value) == "malformed manifest header: 'filter=haar d=x'"
+    with pytest.raises(FileFormatError) as err:
+        load_manifest("x" * 1_000_000)
+    assert str(err.value) == f"malformed manifest header: {'x' * 80!r} (first 80 of 1000000 characters)"
+
+
+def test_manifest_refusal_says_the_final_newline_is_missing():
+    good = catalog_manifest(build_basis_nd(haar_filter(), 2, 2))
+    for bad in (good[:-1], good.replace("\n", "\r\n")[:-2]):
+        with pytest.raises(FileFormatError, match="^manifest is missing its final newline$"):
+            load_manifest(bad)
+    # a line short of the final newline still names the line
+    with pytest.raises(FileFormatError, match="^manifest line 9 departs from"):
+        load_manifest(good[:-2])
 
 
 @pytest.mark.parametrize("tail", [" ", "\t"])
@@ -420,7 +474,7 @@ def test_transform_header_mismatch(tmp_path, capsys):
     rc = main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
                "--out", str(out), "--levels", "1"])
     assert rc == 2
-    assert "signal is d=1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: basis is d=2 m=2, signal is d=1 m=2\n"
     # four space axes are past the supported d <= 3
     sig_path.write_bytes(b"VWAV1 d=4 m=2 n=2 dtype=f64le\n" + bytes(8 * 2 * 2**4))
     rc = main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
@@ -436,6 +490,19 @@ def test_transform_forward_needs_levels(tmp_path, capsys):
                "--out", str(tmp_path / "dec.vdec")])
     assert rc == 2
     assert "--levels" in capsys.readouterr().err
+
+
+def test_inverse_mismatch_names_both_sides(tmp_path, capsys):
+    # the library names a decomposition as one, not as a signal
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    dec_path = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(build_manifest(tmp_path, d=1)),
+                 "--out", str(dec_path), "--levels", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["transform", "--in", str(dec_path), "--manifest", str(build_manifest(tmp_path, d=1, m=3)),
+               "--out", str(tmp_path / "rec.vwav"), "--inverse"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: basis is d=1 m=3, decomposition is d=1 m=2\n"
 
 
 def test_transform_inverse_wrong_manifest(tmp_path):

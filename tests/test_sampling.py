@@ -205,6 +205,25 @@ def test_low_moments_keep_the_bits_of_pow(name):
                 assert moment(f, p).hex() == pow_moment(f, p).hex(), (J, which, p)
 
 
+@pytest.mark.parametrize("count", [14, 20])
+def test_moments_refusal_names_the_highest_order_asked(count):
+    w = refine_sample(haar_filter(), "wavelet", 4)
+    with pytest.raises(ValueError, match=f"^moment order must be in 0..12, got {count - 1}$"):
+        scalar._moments(w, count)
+
+
+def test_verify_refuses_more_vanishing_moments_than_it_can_take():
+    # a hand-built filter may claim any count; the moment row asks for
+    # orders 0..count-1
+    from vecwave.basisnd import build_basis_nd
+    from vecwave.verify import run_verify
+
+    base = haar_filter()
+    filt = ScalarFilter("haar", base.h, base.h_start, base.g, base.g_start, 20)
+    with pytest.raises(ValueError, match="^moment order must be in 0..12, got 19$"):
+        run_verify(build_basis_nd(filt, 1, 1), 6, "exact")
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_zeroth_moment_keeps_the_bits_of_fsum_over_the_array(name):
     filt = filter_by_name(name)
