@@ -35,7 +35,7 @@ from .basis1d import FactorInnerCache, Multiwavelet, build_vector_basis, to_mult
 from .errors import FileFormatError, SizeGuardError
 from .scalar import MAX_TABLE_SAMPLES, ScalarFilter, filter_by_name, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction
-from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, factor_component
+from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, _check_catalog_size, factor_component
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,7 @@ def build_basis_nd(
     Scaling families number m^(d-1) and live at the coarsest layer only;
     wavelet families number sum_e C(d,e) * m^(d-1) per level.
     """
-    if d < 1 or m < 1:
-        raise ValueError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
-    if d > MAX_ENUM_D or m > MAX_ENUM_M:
-        raise SizeGuardError(
-            f"basis guard is d <= {MAX_ENUM_D}, m <= {MAX_ENUM_M}; "
-            f"got d={d}, m={m}"
-        )
+    _check_catalog_size(d, m)
     mw = to_multiwavelet(build_vector_basis(filt, m))
     if partition is None:
         partition = cyclic_partition(d, m)
@@ -491,9 +485,12 @@ def load_manifest(text: str) -> BasisND:
     m^(d-1) lines after it, the scaling families in block order, which give
     the partition.  These fix the basis, and the whole text, CRLF line ends
     read as LF, must be its manifest: any other difference is refused,
-    naming the first line that departs.
+    naming the first line that departs; a lone CR is refused first.
     """
     text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise FileFormatError(f"manifest line {line} holds a lone CR: only LF or CRLF line ends are read")
     header = text.split("\n", 1)[0]
     head = _MANIFEST_HEAD.match(header)
     if not head:

@@ -153,10 +153,7 @@ def separable_channels(
     """
     if x.d != 1 or y.d != 1:
         raise DimensionError("separable factors must be one-dimensional")
-    if x.m != y.m:
-        raise DimensionError(f"channel counts differ: {x.m} vs {y.m}")
-    if x.level != y.level:
-        raise DimensionError(f"grid levels differ: {x.level} vs {y.level}")
+    _check_compatible(x, y)
     vals = np.einsum("ri,rj->rij", x.values, y.values)
     return VectorSampledFunction((x.start[0], y.start[0]), x.level, vals)
 

@@ -28,6 +28,14 @@ MAX_SAMPLE_D = 3
 MAX_SWEEP_ROWS = 1 << 15
 
 
+def _check_catalog_size(d: int, m: int) -> None:
+    """Refuse a (d, m) outside 1..MAX_ENUM_D by 1..MAX_ENUM_M, before any catalog is enumerated."""
+    if d < 1 or m < 1:
+        raise ValueError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
+    if d > MAX_ENUM_D or m > MAX_ENUM_M:
+        raise SizeGuardError(f"enumeration guard is d <= {MAX_ENUM_D}, m <= {MAX_ENUM_M}; got d={d}, m={m}")
+
+
 @dataclass(frozen=True)
 class SubbandFamily:
     """All (eps, alpha) shapes with exactly e wavelet coordinates."""
@@ -45,13 +53,7 @@ def enumerate_families(d: int, m: int) -> list:
     Family e holds C(d,e) * m^d members, (2m)^d shapes in total.  The
     enumeration is exponential in d, hence the size guard.
     """
-    if d < 1 or m < 1:
-        raise ValueError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
-    if d > MAX_ENUM_D or m > MAX_ENUM_M:
-        raise SizeGuardError(
-            f"enumeration guard is d <= {MAX_ENUM_D}, m <= {MAX_ENUM_M}; "
-            f"got d={d}, m={m}"
-        )
+    _check_catalog_size(d, m)
     alphas = list(product(range(1, m + 1), repeat=d))
     families = []
     for e in range(d + 1):

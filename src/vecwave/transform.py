@@ -57,6 +57,7 @@ both steps match the textbook periodic filter bank bit for bit, signed
 zeros included.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -350,7 +351,7 @@ class VectorDecomposition:
         # the `.vdec` header holds the name as one ASCII word
         if not (self.filter_name.isascii() and re.fullmatch(r"\S+", self.filter_name)):
             raise CorruptionError(f"filter name {self.filter_name!r} is not one word of ASCII")
-        layout = _layout_of(d, m, n, levels, part.blocks, CorruptionError)
+        layout = _layout(d, m, levels, _base_scale(m, n, levels, CorruptionError), part.blocks)
         if tuple(_head(band) for band in self.bands) != layout or any(
             band.values.shape != _band_shape(m, band.cols) for band in self.bands
         ):
@@ -468,13 +469,13 @@ def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
     return tuple(out)
 
 
-def _layout_of(d: int, m: int, n: int, levels: int, blocks: tuple, error: type) -> tuple:
-    """`_layout` for a grid of n, refused with `error` first if the levels do not fit log2(n)."""
+def _base_scale(m: int, n: int, levels: int, error: type) -> int:
+    """The pyramid's coarsest scale s0 = log2(n) - (m * levels + m - 1); `error` if negative."""
     smax = n.bit_length() - 1
     s0 = smax - (m * levels + m - 1)
     if s0 < 0:
         raise error(f"{levels} vector levels of m = {m} exceed log2(n) = {smax}")
-    return _layout(d, m, levels, s0, blocks)
+    return s0
 
 
 def _band_shape(m: int, cols) -> tuple:
@@ -486,27 +487,33 @@ def _head(band: Band) -> tuple:
     return band.key, band.eps, band.level, band.block, band.cols
 
 
+@contextmanager
+def _overflow_refused(what: str):
+    """Refuse a float64 overflow in the steps run inside with a ValueError, not a numpy warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"float64 overflowed in {what}: the values are too large to transform") from exc
+
+
 def analyze_vector(signal: VectorSignal, basis, levels: int) -> VectorDecomposition:
     """Transform a signal into matrix coefficients over `levels` vector levels.
 
     The per-channel scalar pyramid runs m * levels + m - 1 steps deep;
-    levels is capped by log2(n) accordingly.
+    levels is capped by log2(n) accordingly.  A float64 overflow raises ValueError.
     """
     mw, part = _basis_params(basis, signal, "signal")
-    filt, m = mw.filter, mw.m
-    smax = signal.n.bit_length() - 1
+    filt, m, d = mw.filter, mw.m, signal.d
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    depth = m * levels + m - 1
-    if depth > smax:
-        raise ResolutionError(f"depth {depth} exceeds log2(n) = {smax}")
-    s0 = smax - depth
-    d = signal.d
+    s0 = _base_scale(m, signal.n, levels, ResolutionError)
 
-    pieces = {(("approx", smax),) * d: signal.values}
-    for axis, steps, src, out in _schedule(d, m, levels, s0):
-        approx, details = _axis_pyramid(pieces.pop(src), filt, steps, axis + 1)
-        pieces.update(zip(out, [approx] + details))
+    pieces = {(("approx", signal.n.bit_length() - 1),) * d: signal.values}
+    with _overflow_refused("analysis"):
+        for axis, steps, src, out in _schedule(d, m, levels, s0):
+            approx, details = _axis_pyramid(pieces.pop(src), filt, steps, axis + 1)
+            pieces.update(zip(out, [approx] + details))
 
     bands = []
     for key, eps, level, block, cols in _layout(d, m, levels, s0, part.blocks):
@@ -542,7 +549,8 @@ def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
 
     The basis must carry the decomposition's filter and partition.  Its
     bands match their layout, as every VectorDecomposition's do, so only
-    their masked slots are checked: each must hold +-0.0.
+    their masked slots are checked: each must hold +-0.0.  A float64
+    overflow raises ValueError.
     """
     mw, part = _basis_params(basis, dec, "decomposition")
     filt, m = mw.filter, mw.m
@@ -550,10 +558,11 @@ def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
         raise ValueError(f"decomposition was built with {dec.filter_name}, basis carries {filt.name}")
     if part.blocks != dec.partition.blocks:
         raise ValueError("basis partition does not match the decomposition")
-    s0 = dec.n.bit_length() - 1 - (m * dec.levels + m - 1)
+    s0 = _base_scale(m, dec.n, dec.levels, CorruptionError)
     pieces = _unpack_bands(dec.bands)
-    for axis, _, src, out in reversed(_schedule(dec.d, m, dec.levels, s0)):
-        pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
+    with _overflow_refused("synthesis"):
+        for axis, _, src, out in reversed(_schedule(dec.d, m, dec.levels, s0)):
+            pieces[src] = _axis_ipyramid(pieces.pop(out[0]), [pieces.pop(key) for key in out[1:]], filt, axis + 1)
     (a,) = pieces.values()
     # a fresh pyramid output is kept by VectorSignal; with no steps (m = 1,
     # levels = 0) `a` is a view of band storage, which it copies unless
@@ -590,10 +599,12 @@ def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobeniu
                 bands.append(band)
                 continue
         sub = band.values[:, cols]
-        if norm == "frobenius":
-            norms = np.sqrt(np.sum(sub**2, axis=(0, 1)))
-        else:
-            norms = np.max(np.sum(np.abs(sub), axis=0), axis=0)
+        # a norm that overflows is inf, never below tau: that matrix is kept
+        with np.errstate(over="ignore"):
+            if norm == "frobenius":
+                norms = np.sqrt(np.sum(sub**2, axis=(0, 1)))
+            else:
+                norms = np.max(np.sum(np.abs(sub), axis=0), axis=0)
         # the product, not a mask, so a zeroed negative stays -0.0
         kept = sub * np.where(norms < tau, 0.0, 1.0)
         if band.level >= 0:
@@ -710,7 +721,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
         partition = Partition(d, m, blocks)
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
-    layout = _layout_of(d, m, n, levels, partition.blocks, FileFormatError)
+    layout = _layout(d, m, levels, _base_scale(m, n, levels, FileFormatError), partition.blocks)
     text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
     head = text.encode("ascii")
     if data[: len(head)] != head:

@@ -1,7 +1,8 @@
 """The construction's invariant checks: one table of rows, each with its
-measured value and its gate under every profile.  ``exact`` suits Haar,
-where quadrature is exact; ``sampled`` leaves room for the dyadic
-quadrature error of the longer filters.
+measured value and its gate under every profile.  The filter and Gram rows
+are tap sums and the refinement and moment rows read level-J tables; every
+built-in filter passes ``exact`` at J = 10.  ``sampled`` keeps the looser
+gates from when the Gram rows were dyadic quadratures.
 """
 
 import math

@@ -1,5 +1,6 @@
 """End-to-end command-line tests through main(argv)."""
 
+from dataclasses import replace
 import hashlib
 import os
 import re
@@ -209,6 +210,25 @@ def test_verify_reads_line_ends_by_the_loaders_rule(tmp_path, ends):
         refused = True
     assert refused == (ends not in ("lf", "crlf"))
     assert (main(["verify", "--manifest", str(path)]) == 2) == refused
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db10"])
+def test_all_cr_manifests_are_refused_for_their_line_ends(tmp_path, capsys, name):
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            text = catalog_manifest(build_basis_nd(vecwave.filter_by_name(name), d, m)).replace("\n", "\r")
+            want = "manifest line 1 holds a lone CR: only LF or CRLF line ends are read"
+            with pytest.raises(FileFormatError) as err:
+                load_manifest(text)
+            assert str(err.value) == want
+            path = tmp_path / f"{name}-{d}-{m}-cr.txt"
+            path.write_bytes(text.encode("ascii"))
+            assert main(["verify", "--manifest", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {want}\n"
+    # a lone CR further down names its own line
+    lines = catalog_manifest(build_basis_nd(haar_filter(), 2, 2)).split("\n")
+    with pytest.raises(FileFormatError, match="^manifest line 3 holds a lone CR"):
+        load_manifest("\n".join(lines[:3]) + "\r" + "\n".join(lines[3:]))
 
 
 def test_malformed_header_refusal_quotes_a_bounded_prefix():
@@ -932,7 +952,7 @@ def test_transform_refuses_a_huge_levels_budget(tmp_path, capsys):
     out = tmp_path / "dec.vdec"
     assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
                  "--out", str(out), "--levels", "1000000000000000000000"]) == 2
-    assert "exceeds log2(n) = 6" in capsys.readouterr().err
+    assert "exceed log2(n) = 6" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -998,3 +1018,67 @@ def test_cold_verify_leaves_numpy_ma_unimported():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _run_python(["-c", code]).stdout.strip() == "False"
+
+
+def _overflow_probes(tmp_path):
+    """haar d=1 m=2 on n = 64: a forward whose sums pass float64's largest
+    value, an inverse of 1.7e308 in every valid slot, and a forward whose
+    thresholded norms overflow while its coefficients do not."""
+    basis = build_basis_nd(haar_filter(), 1, 2)
+    manifest = tmp_path / "haar-1-2.txt"
+    manifest.write_bytes(catalog_manifest(basis).encode("ascii"))
+    (tmp_path / "big.vwav").write_bytes(signal_to_bytes(VectorSignal(np.full((2, 64), 1e308))))
+    dec = analyze_vector(VectorSignal(np.ones((2, 64))), basis, 2)
+    bands = []
+    for band in dec.bands:
+        values = np.zeros(band.values.shape)
+        for rho, col in enumerate(band.cols):
+            values[(slice(None), rho) + tuple(slice(0, length) for _, _, length in col)] = 1.7e308
+        bands.append(replace(band, values=values))
+    (tmp_path / "big.vdec").write_bytes(decomposition_to_bytes(replace(dec, bands=tuple(bands))))
+    e300 = VectorSignal(1e300 * np.random.default_rng(7).standard_normal((2, 64)))
+    (tmp_path / "e300.vwav").write_bytes(signal_to_bytes(e300))
+    return basis, manifest, e300
+
+
+def test_overflow_is_refused_by_the_library(tmp_path):
+    # pytest turns a RuntimeWarning into an error, so a numpy warning fails here
+    basis, _, e300 = _overflow_probes(tmp_path)
+    with pytest.raises(ValueError, match="^float64 overflowed in analysis"):
+        analyze_vector(signal_from_bytes((tmp_path / "big.vwav").read_bytes()), basis, 2)
+    with pytest.raises(ValueError, match="^float64 overflowed in synthesis"):
+        synthesize_vector(decomposition_from_bytes((tmp_path / "big.vdec").read_bytes()), basis)
+    # every norm overflows or exceeds tau, so every matrix is kept as it is
+    dec = analyze_vector(e300, basis, 2)
+    with np.errstate(over="ignore"):
+        assert any(np.isinf(np.sum(band.values**2)) for band in dec.bands)
+    for norm in ("frobenius", "norm1"):
+        assert decomposition_to_bytes(threshold_matrix(dec, 0.25, norm)) == decomposition_to_bytes(dec)
+
+
+@pytest.mark.parametrize("probe", ["forward", "inverse", "threshold"])
+def test_overflow_probes_exit_without_a_warning(tmp_path, probe):
+    basis, manifest, e300 = _overflow_probes(tmp_path)
+    out = tmp_path / "out.bin"
+    args = {
+        "forward": ["--in", str(tmp_path / "big.vwav"), "--levels", "2"],
+        "inverse": ["--in", str(tmp_path / "big.vdec"), "--inverse"],
+        "threshold": ["--in", str(tmp_path / "e300.vwav"), "--levels", "2", "--threshold", "0.25"],
+    }[probe]
+    src = str(Path(vecwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    run = subprocess.run(
+        [sys.executable, "-m", "vecwave.cli", "transform", "--manifest", str(manifest), "--out", str(out), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
+    if probe == "threshold":
+        assert run.returncode == 0, run.stderr
+        want = threshold_matrix(analyze_vector(e300, basis, 2), 0.25)
+        assert out.read_bytes() == decomposition_to_bytes(want)
+    else:
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: float64 overflowed in ")
+        assert not out.exists()

@@ -76,8 +76,8 @@ def test_filter_axioms(name):
 
 
 def test_construction_computes_no_wavelet_moment(monkeypatch):
-    # filter construction and to_multiwavelet check only the sum and
-    # orthonormality axioms, which need no exact moment
+    # to_multiwavelet checks only the sum and orthonormality axioms, which
+    # need no exact moment
     calls = []
 
     def counted(*args):
