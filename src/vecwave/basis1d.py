@@ -34,6 +34,7 @@ from .scalar import (
     _finest_level,
     _frozen,
     scaled_atom_sample,
+    support_start,
 )
 from .star import MatrixM
 
@@ -149,8 +150,7 @@ def expand_factor(filt: ScalarFilter, kind: str, scale: int, shift: int, level: 
     go through h one level per step.  The expansion is exact up to the
     rounding of its products and sums, and reads no cascade table.
     """
-    if kind not in ("scaling", "wavelet"):
-        raise ValueError(f"kind must be 'scaling' or 'wavelet', got {kind!r}")
+    support_start(filt, kind)  # refuses any kind but "scaling" and "wavelet"
     depth = level - scale
     if depth < (kind == "wavelet"):
         raise ResolutionError(f"level {level} too coarse for a {kind} factor at scale {scale}")

@@ -35,7 +35,8 @@ from .basis1d import FactorInnerCache, Multiwavelet, build_vector_basis, to_mult
 from .errors import FileFormatError, SizeGuardError
 from .scalar import MAX_TABLE_SAMPLES, ScalarFilter, filter_by_name, scaled_atom_sample
 from .star import MatrixM, VectorSampledFunction
-from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_ROWS, _check_catalog_size, factor_component
+from .tensor import MAX_ENUM_D, MAX_ENUM_M, MAX_SAMPLE_D, MAX_SWEEP_BLOCKS, MAX_SWEEP_ROWS
+from .tensor import _check_catalog_size, factor_component
 
 
 @dataclass(frozen=True)
@@ -332,10 +333,11 @@ def catalog_rows(d: int, m: int, max_level: int, k_range: int) -> int:
 
 
 def check_sweep_size(d: int, m: int, max_level: int, k_range: int) -> None:
-    """Refuse a catalog of more than MAX_SWEEP_ROWS atom rows."""
+    """Refuse a sweep of more than MAX_SWEEP_BLOCKS blocks, whose pairs it forms, or MAX_SWEEP_ROWS atom rows."""
     n = catalog_rows(d, m, max_level, k_range)
-    if n > MAX_SWEEP_ROWS:
-        raise SizeGuardError(f"gram sweep guard is {MAX_SWEEP_ROWS} atom rows, got {n}")
+    nb = catalog_rows(d, m, max_level, 0) if n else 0  # one translate: one row per block
+    if nb > MAX_SWEEP_BLOCKS or n > MAX_SWEEP_ROWS:
+        raise SizeGuardError(f"gram sweep guard is {MAX_SWEEP_BLOCKS} blocks, {MAX_SWEEP_ROWS} rows; got {nb}, {n}")
 
 
 def _catalog_blocks(basis: BasisND, max_level: int) -> tuple:
@@ -398,9 +400,9 @@ def catalog_star_deviation(
     # The products run in coordinate order over |G| >= 0.  The dense form
     # stopped a product at its first zero; with finite entries that only set
     # the sign of a zero, which |.| drops.
-    # rows p != q in distinct blocks, at most MAX_SWEEP_ROWS products at a time
+    # rows p != q in distinct blocks, at most 2^15 products at a time
     nb = len(blocks)
-    step = max(1, MAX_SWEEP_ROWS // nb)
+    step = max(1, (1 << 15) // nb)
     worst = 0.0
     for lo in range(0, nb, step):
         rows = blocks[lo : lo + step]

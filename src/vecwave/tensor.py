@@ -21,11 +21,11 @@ from math import comb
 from .basis1d import Component, Multiwavelet, generator_component
 from .errors import SizeGuardError
 
-MAX_ENUM_D = 6
+MAX_ENUM_D = 6  # the one cap on space axes: of bases, signals, decompositions and both file formats
 MAX_ENUM_M = 4
-MAX_SAMPLE_D = 3
-# atom rows N * m of the catalog star sweep; every d <= 3 catalog fits
-MAX_SWEEP_ROWS = 1 << 15
+MAX_SAMPLE_D = 3  # dense sampling only: basisnd.sample_vector_atom_nd, and through it plot
+# blocks (family, level, row) and atom rows of the catalog star sweep; every d <= 3 catalog fits
+MAX_SWEEP_BLOCKS, MAX_SWEEP_ROWS = 1 << 12, 1 << 20
 
 
 def _check_catalog_size(d: int, m: int) -> None:

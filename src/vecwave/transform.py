@@ -1,6 +1,6 @@
 """Discrete transform packing scalar pyramids into matrix coefficients.
 
-An m-channel signal on a dyadic grid with d = 1..3 space axes runs through
+An m-channel signal on a dyadic grid with d = 1..6 space axes runs through
 per-channel orthogonal scalar wavelet pyramids whose subbands are regrouped
 into m x m matrix coefficients, one matrix per translate of each basis
 family.  One vector level consumes m scalar levels along every axis.
@@ -70,7 +70,7 @@ from .basis1d import VectorBasis1D, generator_component, to_multiwavelet
 from .basisnd import BasisND, Partition, _departure, _parse_rows, _rows_text, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
 from .scalar import ScalarFilter, _frozen
-from .tensor import MAX_SAMPLE_D
+from .tensor import MAX_ENUM_D
 
 __all__ = [
     "Band",
@@ -97,7 +97,7 @@ def _is_pow2(n) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class VectorSignal:
-    """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..3 axes of dyadic n.
+    """An m-channel sample grid of finite values: shape (m, n, ..., n), d = 1..MAX_ENUM_D axes of dyadic n.
 
     values is read-only and owned by `scalar._frozen`'s rule; ``==`` is identity.
     """
@@ -106,8 +106,8 @@ class VectorSignal:
 
     def __post_init__(self):
         values = _frozen(self.values)
-        if not 2 <= values.ndim <= MAX_SAMPLE_D + 1:
-            raise DimensionError(f"signal must have 1 to {MAX_SAMPLE_D} space axes, got shape {values.shape}")
+        if not 2 <= values.ndim <= MAX_ENUM_D + 1:
+            raise DimensionError(f"signal must have 1 to {MAX_ENUM_D} space axes, got shape {values.shape}")
         if values.shape[0] < 1:
             raise DimensionError("signal needs at least one channel")
         n = values.shape[1]
@@ -132,7 +132,9 @@ class VectorSignal:
         return self.values.shape[1]
 
     def energy(self) -> float:
-        return float(np.sum(self.values**2))
+        """The sum of squares; inf, with no warning, where it overflows float64."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.values**2))
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +328,11 @@ class Band:
 class VectorDecomposition:
     """Regrouped transform of one VectorSignal; ``==`` is identity.
 
-    Building one checks the geometry (1 <= d <= 3, m >= 1, dyadic n, a
-    partition of (d, m), levels >= 0 that fit log2(n)), then that the bands
-    carry exactly `_layout`'s heads in order with values of `_band_shape`,
-    and raises `CorruptionError` otherwise.  So every decomposition that
-    exists can be synthesized and encodes to a `.vdec` its decoder accepts.
+    Building one checks the geometry (1 <= d <= MAX_ENUM_D, m >= 1, dyadic n,
+    a partition of (d, m), levels >= 0 that fit log2(n)), then that the bands
+    number `_band_count` and carry `_layout`'s heads in order with values of
+    `_band_shape`, and raises `CorruptionError` otherwise.  So every decomposition
+    that exists can be synthesized and encodes to a `.vdec` its decoder accepts.
     """
 
     d: int
@@ -343,17 +345,19 @@ class VectorDecomposition:
 
     def __post_init__(self):
         d, m, n, levels, part = self.d, self.m, self.n, self.levels, self.partition
-        # the geometry first, so no field can ask _layout for a huge table
-        if not (1 <= d <= MAX_SAMPLE_D and m >= 1 and _is_pow2(n) and levels >= 0):
+        # the geometry, then the band count, so no field can ask _layout for a huge table
+        if not (1 <= d <= MAX_ENUM_D and m >= 1 and _is_pow2(n) and levels >= 0):
             raise CorruptionError(f"invalid geometry d={d} m={m} n={n} levels={levels}")
         if not isinstance(part, Partition) or (part.d, part.m) != (d, m):
             raise CorruptionError(f"partition is not one of d={d} m={m}")
         # the `.vdec` header holds the name as one ASCII word
         if not (self.filter_name.isascii() and re.fullmatch(r"\S+", self.filter_name)):
             raise CorruptionError(f"filter name {self.filter_name!r} is not one word of ASCII")
-        layout = _layout(d, m, levels, _base_scale(m, n, levels, CorruptionError), part.blocks)
-        if tuple(_head(band) for band in self.bands) != layout or any(
-            band.values.shape != _band_shape(m, band.cols) for band in self.bands
+        s0 = _base_scale(m, n, levels, CorruptionError)
+        if (
+            len(self.bands) != _band_count(d, m, levels)
+            or tuple(_head(band) for band in self.bands) != _layout(d, m, levels, s0, part.blocks)
+            or any(band.values.shape != _band_shape(m, band.cols) for band in self.bands)
         ):
             raise CorruptionError(f"bands depart from the layout of d={d} m={m} n={n} levels={levels} and the partition")
 
@@ -367,7 +371,9 @@ class VectorDecomposition:
         return sum(band.valid_count() for band in self.bands)
 
     def energy(self) -> float:
-        return float(sum(np.sum(band.values**2) for band in self.bands))
+        """The sum of squares over every band; inf, with no warning, where it overflows float64."""
+        with np.errstate(over="ignore"):
+            return float(sum(np.sum(band.values**2) for band in self.bands))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +473,11 @@ def _layout(d: int, m: int, levels: int, s0: int, blocks: tuple) -> tuple:
             key = f"base-b{block}" if level < 0 else f"w-e{bits}-t{level}-b{block}"
             out.append((key, eps, level, block, cols))
     return tuple(out)
+
+
+def _band_count(d: int, m: int, levels: int) -> int:
+    """The number of bands in `_layout`: m^(d-1) blocks of the base family and of 2^d - 1 orientations a level."""
+    return m ** (d - 1) * (1 + (2**d - 1) * levels)
 
 
 def _base_scale(m: int, n: int, levels: int, error: type) -> int:
@@ -578,10 +589,10 @@ def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
 def threshold_matrix(dec: VectorDecomposition, tau: float, norm: str = "frobenius") -> VectorDecomposition:
     """Zero every matrix coefficient whose norm falls below tau.
 
-    Wavelet-family matrices are zeroed whole.  Base-family matrices
-    measure and zero only their detail columns, so all-approx columns
-    always survive: tau = inf keeps exactly the approximation content,
-    tau = 0 changes nothing, and a NaN or negative tau is refused.
+    Wavelet-family matrices are zeroed whole.  Base-family matrices measure and zero
+    only their detail columns, so all-approx columns always survive.  tau = inf keeps
+    them and every matrix whose norm overflows float64 (an inf norm is never below
+    tau), tau = 0 changes nothing, and a NaN or negative tau is refused.
     """
     if norm not in ("frobenius", "norm1"):
         raise ValueError(f"norm must be 'frobenius' or 'norm1', got {norm!r}")
@@ -644,7 +655,7 @@ def signal_from_bytes(data: bytes) -> VectorSignal:
     if not match:
         raise FileFormatError("missing or malformed VWAV1 header")
     d, m, n = (int(match.group(i)) for i in (1, 2, 3))
-    if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
+    if not 1 <= d <= MAX_ENUM_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid signal geometry d={d} m={m} n={n}")
     expected = 8 * m * n**d
     if len(data) - match.end() != expected:
@@ -712,7 +723,7 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
         raise FileFormatError("missing or malformed VDEC1 header")
     d, m, n, levels = (int(match.group(i)) for i in (1, 2, 3, 4))
     filter_name = match.group(5)
-    if not 1 <= d <= MAX_SAMPLE_D or m < 1 or not _is_pow2(n):
+    if not 1 <= d <= MAX_ENUM_D or m < 1 or not _is_pow2(n):
         raise FileFormatError(f"invalid geometry d={d} m={m} n={n}")
     if not part_line.startswith("partition="):
         raise FileFormatError("missing partition line")
@@ -721,7 +732,12 @@ def decomposition_from_bytes(data: bytes) -> VectorDecomposition:
         partition = Partition(d, m, blocks)
     except ValueError as exc:
         raise FileFormatError(f"invalid partition: {exc}") from exc
-    layout = _layout(d, m, levels, _base_scale(m, n, levels, FileFormatError), partition.blocks)
+    s0 = _base_scale(m, n, levels, FileFormatError)
+    # each band holds at least m * m values: a file too short for them all is refused before `_layout`
+    count = _band_count(d, m, levels)
+    if 8 * m * m * count > len(data):
+        raise FileFormatError(f"file holds {len(data)} bytes, too few for the {count} bands its header implies")
+    layout = _layout(d, m, levels, s0, partition.blocks)
     text = _manifest(d, m, n, levels, filter_name, partition.blocks, layout)
     head = text.encode("ascii")
     if data[: len(head)] != head:

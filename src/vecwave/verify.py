@@ -17,9 +17,8 @@ from .basis1d import (
     translate_gram_deviation,
 )
 from .basisnd import BasisND, catalog_star_deviation, check_sweep_size
-from .errors import DimensionError
 from .scalar import _moments, filter_deviations, scaled_atom_sample
-from .tensor import MAX_SAMPLE_D, enumerate_families
+from .tensor import enumerate_families
 from .transform import VectorSignal, analyze_vector, synthesize_vector
 
 __all__ = ["PROFILES", "VerifyReport", "run_verify"]
@@ -29,6 +28,7 @@ PROFILES = ("exact", "sampled")
 
 # the catalog of the gram-nd row: wavelet levels <= 1, translates |k| <= 1
 _CATALOG_LEVEL, _CATALOG_K = 1, 1
+_SIGNAL_N = {1: 256, 2: 64, 3: 64, 4: 16, 5: 8, 6: 8}  # by d, the reconstruction signal's side n
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,8 @@ class VerifyReport:
 
 
 def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
-    # refused before any Gram sweep: a catalog too large to sweep, then a
-    # basis the transform of the reconstruction rows cannot take
+    # refused before any Gram sweep: a catalog too large to sweep
     check_sweep_size(basis.d, basis.m, _CATALOG_LEVEL, _CATALOG_K)
-    if basis.d > MAX_SAMPLE_D:
-        raise DimensionError(
-            f"verify runs the transform, which takes d <= {MAX_SAMPLE_D} space axes; got d={basis.d}"
-        )
     if profile not in PROFILES:
         raise ValueError(f"profile must be one of {', '.join(PROFILES)}, got {profile!r}")
     filt = basis.mw.filter
@@ -95,7 +90,7 @@ def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
             mismatches += 1
     if sum(len(fam.members) for fam in enumerate_families(d, m)) != (2 * m) ** d:
         mismatches += 1
-    n = 256 if d == 1 else 64
+    n = _SIGNAL_N[d]
     smax = n.bit_length() - 1
     levels = max(0, min(2, (smax - m + 1) // m))
     rng = np.random.default_rng(0)

@@ -554,8 +554,8 @@ def test_sweep_guard_admits_every_d3_catalog():
 
 
 def test_sweep_guard_rejects_before_allocating(monkeypatch):
-    # d = 4, m = 4 has 642 816 atom rows; the guard fires before the catalog
-    # is enumerated.
+    # d = 4, m = 4 has 7 936 blocks; the guard fires before the catalog is
+    # enumerated.
     b = build_basis_nd(haar_filter(), 4, 4)
 
     def never(*args):
@@ -563,8 +563,22 @@ def test_sweep_guard_rejects_before_allocating(monkeypatch):
 
     monkeypatch.setattr(basisnd, "catalog_atoms", never)
     monkeypatch.setattr(basisnd, "_catalog_blocks", never)
-    with pytest.raises(SizeGuardError, match="642816"):
+    with pytest.raises(SizeGuardError, match="got 7936, 642816"):
         catalog_star_deviation(b, 1, 1, 10)
+
+
+def test_sweep_guard_bounds_rows_as_well_as_blocks(monkeypatch):
+    # haar d = 3, m = 1 at level 0 and |k| <= 511 has 8 blocks of 2
+    # descriptors, whose 2 046 keys pass the factor Gram's guard; the
+    # |S_pp - 1| pass would still hold all of its 8 564 793 336 rows at once
+    b = build_basis_nd(haar_filter(), 3, 1)
+
+    def never(*args):
+        raise AssertionError("catalog enumerated before the size guard")
+
+    monkeypatch.setattr(basisnd, "_catalog_blocks", never)
+    with pytest.raises(SizeGuardError, match="got 8, 8564793336"):
+        catalog_star_deviation(b, 0, 511, 8)
 
 
 def test_empty_catalog_sweep_is_zero():

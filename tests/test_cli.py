@@ -12,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import vecwave
-from vecwave import cli, verify
+from vecwave import basisnd, cli, verify
 from vecwave import (
     VectorSignal,
     analyze_vector,
     build_basis_nd,
+    cyclic_partition,
     decomposition_from_bytes,
     decomposition_to_bytes,
     haar_filter,
@@ -115,9 +116,12 @@ def test_verify_db2_exact_fails_sampled_passes(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_refuses_d4_before_any_sweep(tmp_path, capsys, monkeypatch):
-    # a d = 4 basis builds, but verify's reconstruction rows run the
-    # transform, which takes d <= 3; the refusal comes before the Gram sweeps
+    # a d = 4 basis builds, and verify takes it unless its catalog is too
+    # large to sweep; that refusal comes before the Gram sweeps
     manifest = build_manifest(tmp_path, name="haar", d=4, m=1)
+    assert main(["verify", "--manifest", str(manifest)]) == 0
+    assert "PASS 11/11 checks" in capsys.readouterr().out
+    manifest = build_manifest(tmp_path, name="haar", d=4, m=4)
 
     def never(*args, **kwargs):
         raise AssertionError("a Gram sweep ran before the refusal")
@@ -125,8 +129,7 @@ def test_verify_refuses_d4_before_any_sweep(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(verify, "translate_gram_deviation", never)
     monkeypatch.setattr(verify, "catalog_star_deviation", never)
     assert main(["verify", "--manifest", str(manifest)]) == 2
-    err = capsys.readouterr().err
-    assert "d <= 3" in err and "d=4" in err
+    assert "gram sweep guard" in capsys.readouterr().err
 
 
 def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
@@ -300,6 +303,45 @@ def test_d3_build_verify_transform(tmp_path, capsys, name, m, profile):
                  "--out", str(rec_path), "--inverse"]) == 0
     rec = signal_from_bytes(rec_path.read_bytes())
     assert_allclose(rec.values, sig.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)])
+@pytest.mark.parametrize("name", ["haar", "db4", "db10"])
+def test_every_admitted_d4_up_basis_verifies_and_transforms(tmp_path, capsys, name, d, m):
+    # the sweep guard admits these (d >= 4, m); each basis that build writes
+    # passes verify, and transform writes the in-process bytes, which decode
+    # and re-encode to themselves
+    manifest = build_manifest(tmp_path, name=name, d=d, m=m)
+    assert main(["verify", "--manifest", str(manifest)]) == 0
+    assert "PASS 11/11 checks" in capsys.readouterr().out
+    basis = load_manifest(manifest.read_text())
+    n = {4: 16, 5: 8, 6: 8}[d]
+    levels = min(2, (n.bit_length() - m) // m)
+    sig_path, sig = write_signal(tmp_path, m, (n,) * d)
+    dec_path, rec_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav"
+    assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
+                 "--levels", str(levels), "--out", str(dec_path)]) == 0
+    vdec = dec_path.read_bytes()
+    assert vdec == decomposition_to_bytes(analyze_vector(sig, basis, levels))
+    assert decomposition_to_bytes(decomposition_from_bytes(vdec)) == vdec
+    assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
+                 "--inverse", "--out", str(rec_path)]) == 0
+    vwav = rec_path.read_bytes()
+    assert signal_to_bytes(signal_from_bytes(vwav)) == vwav
+    rec = signal_from_bytes(vwav).values
+    assert np.max(np.abs(rec - sig.values)) <= 1e-12 * np.max(np.abs(sig.values))
+
+
+@pytest.mark.parametrize("d, m", [(4, 4), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)])
+def test_verify_refuses_every_catalog_past_the_sweep_guard(tmp_path, capsys, monkeypatch, d, m):
+    manifest = build_manifest(tmp_path, d=d, m=m)
+
+    def never(*args):
+        raise AssertionError("catalog enumerated before the sweep guard")
+
+    monkeypatch.setattr(basisnd, "_catalog_blocks", never)
+    assert main(["verify", "--manifest", str(manifest)]) == 2
+    assert "gram sweep guard" in capsys.readouterr().err
 
 
 def test_verify_j_flag_sets_the_grid_level(tmp_path, capsys, monkeypatch):
@@ -495,12 +537,12 @@ def test_transform_header_mismatch(tmp_path, capsys):
                "--out", str(out), "--levels", "1"])
     assert rc == 2
     assert capsys.readouterr().err == "error: basis is d=2 m=2, signal is d=1 m=2\n"
-    # four space axes are past the supported d <= 3
-    sig_path.write_bytes(b"VWAV1 d=4 m=2 n=2 dtype=f64le\n" + bytes(8 * 2 * 2**4))
+    # seven space axes are past the supported d <= 6
+    sig_path.write_bytes(b"VWAV1 d=7 m=2 n=2 dtype=f64le\n" + bytes(8 * 2 * 2**7))
     rc = main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
                "--out", str(out), "--levels", "1"])
     assert rc == 2
-    assert "invalid signal geometry d=4" in capsys.readouterr().err
+    assert "invalid signal geometry d=7" in capsys.readouterr().err
 
 
 def test_transform_forward_needs_levels(tmp_path, capsys):
@@ -635,7 +677,8 @@ def test_vdec_single_byte_edits_keep_their_messages():
     # every one-byte replacement, deletion and insertion in the manifest of
     # a small .vdec, decoded; the digest pins the outcome of each edit, in
     # order, as the decoder gave it when it found the departing line by a
-    # byte-wise scan
+    # byte-wise scan; a header edited to d = 4, 5 or 6 is refused by its
+    # partition, as d <= 6 is a valid geometry
     basis = build_basis_nd(haar_filter(), 1, 2)
     blob = decomposition_to_bytes(analyze_vector(VectorSignal(np.arange(4.0).reshape(2, 2)), basis, 0))
     head = blob.index(b"end\n") + 4
@@ -661,7 +704,7 @@ def test_vdec_single_byte_edits_keep_their_messages():
     assert len(outcomes) == 52480
     assert sum("departs from" in o for o in outcomes) == 21053
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "d738e9e4a6604e9e99ed3513bc2bb628f1ad85638132ec8c56128e40ca34a59c"
+    assert digest == "abbfc6bf878ccd249b43c0c8e3aa5190136602a3f9b1b45b6ff87f62f756fb44"
 
 
 @pytest.mark.parametrize("flags", [["--levels", "3"], ["--threshold", "5"], ["--threshold", "5", "--levels", "3"],
@@ -946,6 +989,24 @@ def test_huge_partition_order_is_refused_at_once(tmp_path):
     assert "invalid partition" in out.stderr
 
 
+def test_huge_band_count_is_refused_at_once(tmp_path, capsys):
+    # a 49 KB .vdec whose header d=6 m=4 n=2**62 implies 65 536 bands of at
+    # least m * m values each: too many for its bytes, so _layout never lists them
+    manifest = str(build_manifest(tmp_path, d=1, m=1))
+    rows = "/".join(";".join(",".join(map(str, row)) for row in block) for block in cyclic_partition(6, 4).blocks)
+    dec_path = tmp_path / "huge.vdec"
+    dec_path.write_bytes(f"VDEC1 d=6 m=4 n={2**62} levels=1 filter=haar bands=1\npartition={rows}\nend\n".encode())
+    argv = ["transform", "--in", str(dec_path), "--manifest", manifest, "--out", str(tmp_path / "rec.vwav"), "--inverse"]
+    assert_refused_at_once(capsys, argv, "too few for the 65536 bands its header implies")
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        # the parsed partition's tuples; listing the layout took about 256 MB
+        assert tracemalloc.get_traced_memory()[1] < 2**22
+    finally:
+        tracemalloc.stop()
+
+
 def test_transform_refuses_a_huge_levels_budget(tmp_path, capsys):
     manifest = build_manifest(tmp_path, d=1)
     sig_path, _ = write_signal(tmp_path, 2, (64,))
@@ -1054,6 +1115,27 @@ def test_overflow_is_refused_by_the_library(tmp_path):
         assert any(np.isinf(np.sum(band.values**2)) for band in dec.bands)
     for norm in ("frobenius", "norm1"):
         assert decomposition_to_bytes(threshold_matrix(dec, 0.25, norm)) == decomposition_to_bytes(dec)
+
+
+def test_threshold_inf_keeps_every_matrix_whose_norm_overflows(tmp_path):
+    # an overflowed norm is inf, never below tau, so tau = inf keeps those
+    # wavelet matrices as well as the approximation content
+    basis, _, e300 = _overflow_probes(tmp_path)
+    dec = analyze_vector(e300, basis, 2)
+    kept = threshold_matrix(dec, np.inf)
+    assert sum(int(np.count_nonzero(band.values)) for band in kept.bands if band.level >= 0) == 120
+    for band, was in zip(kept.bands, dec.bands):
+        if band.level >= 0:
+            with np.errstate(over="ignore"):
+                overflowed = np.isinf(np.sum(was.values**2, axis=(0, 1)))
+            assert_array_equal(band.values, was.values * overflowed)
+
+
+def test_energy_that_overflows_is_inf_without_a_warning(tmp_path):
+    # pytest turns a RuntimeWarning into an error, so a numpy warning fails here
+    basis, _, e300 = _overflow_probes(tmp_path)
+    assert e300.energy() == np.inf
+    assert analyze_vector(e300, basis, 2).energy() == np.inf
 
 
 @pytest.mark.parametrize("probe", ["forward", "inverse", "threshold"])

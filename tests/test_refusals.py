@@ -20,7 +20,7 @@ from vecwave import (
     separable_channels,
 )
 from vecwave import scalar
-from vecwave.basis1d import build_vector_basis, to_multiwavelet
+from vecwave.basis1d import build_vector_basis, expand_factor, to_multiwavelet
 from vecwave.errors import CorruptionError, FileFormatError, NotOrthonormalError, ResolutionError
 from vecwave.scalar import ScalarFilter, _table, scaled_atom_sample, support_start
 from vecwave.star import VectorSampledFunction, _check_compatible
@@ -61,6 +61,9 @@ ROWS = [
     ("atom kind",
      lambda: support_start(haar_filter(), "phi"),
      lambda: _table(haar_filter(), "phi", 2)),
+    ("atom kind, factor expansion",
+     lambda: support_start(haar_filter(), "phi"),
+     lambda: expand_factor(haar_filter(), "phi", 0, 0, 2)),
     ("catalog d >= 1",
      lambda: _check_catalog_size(0, 2),
      lambda: build_basis_nd(haar_filter(), 0, 2)),

@@ -231,7 +231,7 @@ def test_vector_signal_validation():
     with pytest.raises(DimensionError):
         VectorSignal(np.ones(8))
     with pytest.raises(DimensionError):
-        VectorSignal(np.ones((2, 4, 4, 4, 4)))
+        VectorSignal(np.ones((2,) + (2,) * 7))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -977,7 +977,7 @@ def test_signal_bytes_round_trip():
 def test_signal_bytes_rejects_garbage():
     for blob in (
         b"",
-        b"VWAV1 d=4 m=2 n=8 dtype=f64le\n" + b"\0" * 65536,
+        b"VWAV1 d=7 m=2 n=2 dtype=f64le\n" + b"\0" * 2048,
         b"VWAV1 d=1 m=2 n=7 dtype=f64le\n" + b"\0" * 112,
         b"VWAV1 d=1 m=2 n=8 dtype=f64le\n" + b"\0" * 100,
         b"VWAV2 d=1 m=2 n=8 dtype=f64le\n" + b"\0" * 128,
@@ -985,6 +985,20 @@ def test_signal_bytes_rejects_garbage():
     ):
         with pytest.raises(FileFormatError):
             signal_from_bytes(blob)
+
+
+def test_seven_space_axes_are_refused_everywhere():
+    # build's d <= 6 is the one cap: signals, decompositions and both
+    # decoders take six space axes and refuse a seventh
+    assert VectorSignal(np.ones((1,) + (2,) * 6)).d == 6
+    with pytest.raises(DimensionError, match="1 to 6 space axes"):
+        VectorSignal(np.ones((1,) + (2,) * 7))
+    with pytest.raises(FileFormatError, match="invalid signal geometry d=7"):
+        signal_from_bytes(b"VWAV1 d=7 m=1 n=2 dtype=f64le\n" + bytes(8 * 2**7))
+    with pytest.raises(FileFormatError, match="invalid geometry d=7"):
+        decomposition_from_bytes(b"VDEC1 d=7 m=1 n=2 levels=0 filter=haar bands=1\npartition=1,1,1,1,1,1,1\nend\n")
+    with pytest.raises(CorruptionError, match="invalid geometry d=7"):
+        VectorDecomposition(7, 1, 2, 0, "haar", cyclic_partition(7, 1), ())
 
 
 def test_decomposition_bytes_round_trip():
