@@ -26,8 +26,8 @@ open(sys.argv[1] + "/in.vwav", "wb").write(signal_to_bytes(sig))
 EOF
 python3 -m vecwave.cli transform --in "$work/in.vwav" --manifest "$work/haar22.txt" \
     --out "$work/dec.vdec" --levels 2 --threshold 0.1
-python3 -m vecwave.cli transform --in "$work/dec.vdec" --manifest "$work/haar22.txt" \
-    --out "$work/rec.vwav" --inverse
+# the inverse needs no manifest: the .vdec header fixes its basis
+python3 -m vecwave.cli transform --in "$work/dec.vdec" --out "$work/rec.vwav" --inverse
 python3 - "$work" <<'EOF'
 import sys
 import numpy as np

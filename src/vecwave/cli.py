@@ -61,7 +61,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    basis = load_manifest(_read(args.manifest).decode("ascii"))
+    basis = None if args.manifest is None else load_manifest(_read(args.manifest).decode("ascii"))
     # the decoded values view these immutable bytes
     data = _read(args.infile)
     if args.inverse:
@@ -69,6 +69,8 @@ def _cmd_transform(args) -> int:
             raise ValueError("--levels, --threshold and --norm apply to the forward transform only")
         chunks = _signal_chunks(synthesize_vector(decomposition_from_bytes(data), basis))
     else:
+        if basis is None:
+            raise ValueError("forward transform needs --manifest")
         if args.levels is None:
             raise ValueError("forward transform needs --levels")
         if args.norm is not None and args.threshold is None:
@@ -126,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="write a basis manifest")
-    p_build.add_argument("--filter", required=True, help="haar or db2..db10")
+    p_build.add_argument("--filter", required=True, help="haar or db1..db10")
     p_build.add_argument("--d", type=int, required=True)
     p_build.add_argument("--m", type=int, required=True)
     p_build.add_argument("--out", required=True)
@@ -141,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="analyze or synthesize a signal file")
     p_tr.add_argument("--in", dest="infile", required=True, metavar="IN")
-    p_tr.add_argument("--manifest", required=True)
+    p_tr.add_argument("--manifest", default=None, help="the basis (the inverse's default: the one its .vdec fixes)")
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--levels", type=int, default=None)
     p_tr.add_argument("--inverse", action="store_true")

@@ -198,15 +198,13 @@ def daubechies_filter(N: int) -> ScalarFilter:
 
 
 def filter_by_name(name: str) -> ScalarFilter:
-    """Look up ``"haar"`` or ``"dbN"`` by name."""
+    """Look up ``"haar"`` or ``"db1"`` .. ``"db10"`` by its exact name, so
+    ``filter_by_name(name).name == name``."""
     if name == "haar":
         return haar_filter()
-    if name.startswith("db"):
-        try:
-            N = int(name[2:])
-        except ValueError:
-            raise ValueError(f"unknown filter name {name!r}") from None
-        return daubechies_filter(N)
+    for N in range(1, 11):
+        if name == f"db{N}":
+            return daubechies_filter(N)
     raise ValueError(f"unknown filter name {name!r}")
 
 

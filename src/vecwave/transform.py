@@ -67,9 +67,9 @@ import re
 import numpy as np
 
 from .basis1d import VectorBasis1D, generator_component, to_multiwavelet
-from .basisnd import BasisND, Partition, _departure, _parse_rows, _rows_text, cyclic_partition
+from .basisnd import BasisND, Partition, _departure, _parse_rows, _rows_text, build_basis_nd, cyclic_partition
 from .errors import CorruptionError, DimensionError, FileFormatError, ResolutionError
-from .scalar import ScalarFilter, _frozen
+from .scalar import ScalarFilter, _frozen, filter_by_name
 from .tensor import MAX_ENUM_D
 
 __all__ = [
@@ -555,14 +555,17 @@ def _unpack_bands(bands) -> dict:
     return pieces
 
 
-def synthesize_vector(dec: VectorDecomposition, basis) -> VectorSignal:
+def synthesize_vector(dec: VectorDecomposition, basis=None) -> VectorSignal:
     """Invert analyze_vector on a grid of dec.n.
 
-    The basis must carry the decomposition's filter and partition.  Its
-    bands match their layout, as every VectorDecomposition's do, so only
-    their masked slots are checked: each must hold +-0.0.  A float64
-    overflow raises ValueError.
+    A given basis must carry dec's filter and partition; with none, dec's
+    filter name, d, m and partition fix it, and an unknown name raises
+    ValueError.  The bands match their layout, as every
+    VectorDecomposition's do, so only their masked slots are checked: each
+    must hold +-0.0.  A float64 overflow raises ValueError.
     """
+    if basis is None:
+        basis = build_basis_nd(filter_by_name(dec.filter_name), dec.d, dec.m, dec.partition)
     mw, part = _basis_params(basis, dec, "decomposition")
     filt, m = mw.filter, mw.m
     if filt.name != dec.filter_name:

@@ -31,9 +31,10 @@ from vecwave import (
     synthesize_vector,
     threshold_matrix,
 )
-from vecwave.basisnd import catalog_manifest
+from vecwave.basisnd import catalog_manifest, check_sweep_size
 from vecwave.cli import load_manifest, main
-from vecwave.errors import FileFormatError, VecwaveError
+from vecwave.errors import FileFormatError, SizeGuardError, VecwaveError
+from vecwave.tensor import MAX_ENUM_D, MAX_ENUM_M
 
 
 def build_manifest(tmp_path, name="haar", d=2, m=2):
@@ -332,6 +333,23 @@ def test_every_admitted_d4_up_basis_verifies_and_transforms(tmp_path, capsys, na
     assert np.max(np.abs(rec - sig.values)) <= 1e-12 * np.max(np.abs(sig.values))
 
 
+def test_verify_signal_takes_a_level_at_every_admitted_basis_but_three():
+    # the perfect-reconstruction and energy-conservation rows run at least one
+    # wavelet level, except at these three (d, m), where the signal side
+    # verify takes gives none and they test the base packing only
+    base_only = {(2, 4), (3, 4), (4, 3)}
+    admitted = []
+    for d in range(1, MAX_ENUM_D + 1):
+        for m in range(1, MAX_ENUM_M + 1):
+            try:
+                check_sweep_size(d, m, verify._CATALOG_LEVEL, verify._CATALOG_K)
+            except SizeGuardError:
+                continue
+            admitted.append((d, m))
+    assert len(admitted) == 18
+    assert {(d, m) for d, m in admitted if verify._signal_levels(d, m) == 0} == base_only
+
+
 @pytest.mark.parametrize("d, m", [(4, 4), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)])
 def test_verify_refuses_every_catalog_past_the_sweep_guard(tmp_path, capsys, monkeypatch, d, m):
     manifest = build_manifest(tmp_path, d=d, m=m)
@@ -456,26 +474,40 @@ def test_norm_needs_a_threshold(tmp_path, capsys):
     assert plain.read_bytes() == named.read_bytes()
 
 
-@pytest.mark.parametrize("name, d, m, shape, levels", [
+# by d, a signal side that takes a wavelet level wherever verify's does
+_SIDE = {1: 256, 2: 64, 3: 32, 4: 16, 5: 8, 6: 8}
+ROUND_TRIPS = [
     ("haar", 2, 3, (32, 32), 1),
     ("db4", 1, 2, (256,), 2),
     ("db4", 3, 2, (16, 16, 16), 1),
-])
+] + [
+    # every d <= 3, m <= 3 and every admitted (d >= 4, m), at up to 2 levels
+    (name, d, m, (_SIDE[d],) * d, min(2, (_SIDE[d].bit_length() - m) // m))
+    for name in ("haar", "db4", "db10")
+    for d, m in [*((d, m) for d in (1, 2, 3) for m in (1, 2, 3)), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)]
+]
+
+
+@pytest.mark.parametrize("name, d, m, shape, levels", ROUND_TRIPS)
 def test_transform_writes_the_in_process_bytes(tmp_path, name, d, m, shape, levels):
+    # the inverse without --manifest rebuilds the basis from the .vdec
+    # header and writes the same bytes as the inverse given it
     manifest = build_manifest(tmp_path, name=name, d=d, m=m)
     basis = load_manifest(manifest.read_text())
     sig_path, sig = write_signal(tmp_path, m, shape)
     dec = analyze_vector(sig, basis, levels)
-    for threshold in (None, 0.5):
+    for threshold in (None, 0.25):
         flags = [] if threshold is None else ["--threshold", str(threshold)]
         want = dec if threshold is None else threshold_matrix(dec, threshold)
-        dec_path, rec_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav"
+        dec_path, rec_path, bare_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav", tmp_path / "bare.vwav"
         assert main(["transform", "--in", str(sig_path), "--manifest", str(manifest),
                      "--levels", str(levels), *flags, "--out", str(dec_path)]) == 0
         assert dec_path.read_bytes() == decomposition_to_bytes(want)
         assert main(["transform", "--in", str(dec_path), "--manifest", str(manifest),
                      "--inverse", "--out", str(rec_path)]) == 0
         assert rec_path.read_bytes() == signal_to_bytes(synthesize_vector(want, basis))
+        assert main(["transform", "--in", str(dec_path), "--inverse", "--out", str(bare_path)]) == 0
+        assert bare_path.read_bytes() == rec_path.read_bytes()
 
 
 def test_transform_out_may_name_its_input(tmp_path):
@@ -552,6 +584,24 @@ def test_transform_forward_needs_levels(tmp_path, capsys):
                "--out", str(tmp_path / "dec.vdec")])
     assert rc == 2
     assert "--levels" in capsys.readouterr().err
+
+
+def test_transform_forward_needs_a_manifest(tmp_path, capsys):
+    sig_path, _ = write_signal(tmp_path, 2, (64,))
+    out = tmp_path / "dec.vdec"
+    assert main(["transform", "--in", str(sig_path), "--levels", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: forward transform needs --manifest\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["db11", "db03", "mine"])
+def test_inverse_without_a_manifest_needs_a_built_in_filter(tmp_path, capsys, name):
+    dec = analyze_vector(VectorSignal(np.ones((2, 64))), build_basis_nd(haar_filter(), 1, 2), 1)
+    dec_path, rec_path = tmp_path / "dec.vdec", tmp_path / "rec.vwav"
+    dec_path.write_bytes(decomposition_to_bytes(replace(dec, filter_name=name)))
+    assert main(["transform", "--in", str(dec_path), "--inverse", "--out", str(rec_path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown filter name {name!r}\n"
+    assert not rec_path.exists()
 
 
 def test_inverse_mismatch_names_both_sides(tmp_path, capsys):

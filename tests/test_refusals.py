@@ -4,6 +4,8 @@ A row names the rule's owner and an entry point that once carried its own
 copy of the check; both must raise the same type with the same message.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from vecwave import (
     daubechies_filter,
     decomposition_from_bytes,
     enumerate_families,
+    filter_by_name,
     haar_filter,
     refine_sample,
     separable_channels,
 )
 from vecwave import scalar
 from vecwave.basis1d import build_vector_basis, expand_factor, to_multiwavelet
+from vecwave.cli import main
 from vecwave.errors import CorruptionError, FileFormatError, NotOrthonormalError, ResolutionError
 from vecwave.scalar import ScalarFilter, _table, scaled_atom_sample, support_start
 from vecwave.star import VectorSampledFunction, _check_compatible
@@ -104,3 +108,26 @@ def test_daubechies_taps_are_held_to_the_axioms_by_the_basis(monkeypatch):
     assert off.h[0] != f.h[0]
     with pytest.raises(NotOrthonormalError, match="misses the orthonormal filter axioms"):
         build_basis_nd(off, 1, 2)
+
+
+# a name is accepted only as the filter's own, so a header or manifest that
+# names a filter names exactly one; int() would take the refused spellings
+FILTER_NAMES = [(name, True) for name in ("haar", *(f"db{N}" for N in range(1, 11)))] + [
+    (name, False) for name in ("db03", "db+3", "db 3", "db3 ", "db1_0")
+]
+
+
+@pytest.mark.parametrize("name, canonical", FILTER_NAMES, ids=[repr(name) for name, _ in FILTER_NAMES])
+def test_filter_names_are_read_exactly(tmp_path, capsys, name, canonical):
+    out = tmp_path / "basis.txt"
+    rc = main(["build", "--filter", name, "--d", "1", "--m", "1", "--out", str(out)])
+    if canonical:
+        assert filter_by_name(name).name == name
+        assert rc == 0
+        assert out.read_text().startswith(f"filter={name} d=1 m=1 ")
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"unknown filter name {name!r}")):
+            filter_by_name(name)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown filter name {name!r}\n"
+        assert not out.exists()

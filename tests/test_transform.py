@@ -533,6 +533,26 @@ def test_synthesize_validation():
     assert synthesize_vector(dec, basis).n == 16
 
 
+def test_synthesis_without_a_basis_builds_the_one_its_header_fixes():
+    # db4's taps under a name filter_by_name does not know: inverted with
+    # its basis, refused without one
+    db4 = filter_by_name("db4")
+    mine = ScalarFilter("mine", db4.h, db4.h_start, db4.g, db4.g_start, db4.vanishing_moments)
+    sig = VectorSignal(np.random.default_rng(3).standard_normal((2, 32, 32)))
+    basis = build_basis_nd(mine, 2, 2)
+    dec = analyze_vector(sig, basis, 1)
+    assert_allclose(synthesize_vector(dec, basis).values, sig.values, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="unknown filter name 'mine'"):
+        synthesize_vector(dec)
+    # a built-in filter's decomposition, over a partition other than the
+    # cyclic one, inverts to the same bits with or without its basis
+    part = cyclic_partition(2, 2)
+    basis = build_basis_nd(db4, 2, 2, replace(part, blocks=part.blocks[::-1]))
+    dec = analyze_vector(sig, basis, 1)
+    assert dec.partition != part
+    assert_array_equal(synthesize_vector(dec).values, synthesize_vector(dec, basis).values)
+
+
 def test_masked_slot_corruption_detected():
     rng = np.random.default_rng(7)
     basis = build_basis_nd(HAAR, 2, 2)
