@@ -235,7 +235,10 @@ def refine_residual(basis: VectorBasis1D, mf: MatrixFilter, J: int) -> float:
     full = np.zeros((m, hi - lo))
     for r, row in enumerate(rows):
         full[r, row.start - lo : row.start - lo + len(row.values)] = row.values
-    return float(np.max(np.sum(np.abs(full - rhs), axis=0)))
+    # in place; the sum over the m rows runs in row order, as np.sum's does
+    np.subtract(full, rhs, out=full)
+    np.abs(full, out=full)
+    return float(np.max(np.add.reduce(full, axis=0)))
 
 
 @dataclass(frozen=True)

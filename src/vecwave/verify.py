@@ -28,15 +28,42 @@ PROFILES = ("exact", "sampled")
 
 # the catalog of the gram-nd row: wavelet levels <= 1, translates |k| <= 1
 _CATALOG_LEVEL, _CATALOG_K = 1, 1
-# by d, the reconstruction signal's side n: up to 2 wavelet levels, but none
-# at (d, m) = (2, 4), (3, 4) and (4, 3), where the perfect-reconstruction and
-# energy-conservation rows test the base packing only; one level at (4, 3)
-# needs n = 32: 0.5 s (haar) to 2.2 s (db10), 330-375 MB, on one Xeon core
+# by d, the reconstruction signal's side n: up to 2 wavelet levels.  Where n
+# gives none, it is doubled once if that gives one and m * n^d stays within
+# the d = 3, m = 3 signal's 3 * 64^3 samples, the largest that runs a level:
+# (2, 4) runs n = 128.  (3, 4) and (4, 3) stay base-only, and their
+# perfect-reconstruction and energy-conservation rows test the base packing;
+# one level at (4, 3) needs n = 32: 0.5 s (haar) to 2.2 s (db10), 330-375 MB,
+# on one Xeon core
 _SIGNAL_N = {1: 256, 2: 64, 3: 64, 4: 16, 5: 8, 6: 8}
 
 
-def _signal_levels(d: int, m: int) -> int:
-    return max(0, min(2, (_SIGNAL_N[d].bit_length() - m) // m))
+def _levels(n: int, m: int) -> int:
+    return max(0, min(2, (n.bit_length() - m) // m))
+
+
+def _signal_grid(d: int, m: int) -> tuple:
+    """The reconstruction signal's side n and its wavelet levels."""
+    n = _SIGNAL_N[d]
+    if not _levels(n, m) and _levels(2 * n, m) and m * (2 * n) ** d <= 3 * _SIGNAL_N[3] ** 3:
+        n *= 2
+    return n, _levels(n, m)
+
+
+def _test_signal(shape: tuple) -> np.ndarray:
+    """The fixed reconstruction signal: sample i (1-based, C order) is output
+    i of SplitMix64 seeded with 0, the finaliser of i * 0x9E3779B97F4A7C15
+    (Steele, Lea & Flood, OOPSLA 2014), whose top 53 bits map exactly to
+    [-1, 1).  Integer arithmetic only, so every machine gets the same bits."""
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    top = (z >> np.uint64(11)).astype(np.int64) - 2**52
+    return (top * 2.0**-52).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -98,9 +125,8 @@ def run_verify(basis: BasisND, j: int, profile: str) -> VerifyReport:
             mismatches += 1
     if sum(len(fam.members) for fam in enumerate_families(d, m)) != (2 * m) ** d:
         mismatches += 1
-    n, levels = _SIGNAL_N[d], _signal_levels(d, m)
-    rng = np.random.default_rng(0)
-    sig = VectorSignal(rng.standard_normal((m,) + (n,) * d))
+    n, levels = _signal_grid(d, m)
+    sig = VectorSignal(_test_signal((m,) + (n,) * d))
     dec = analyze_vector(sig, basis, levels)
     rec = synthesize_vector(dec, basis)
     pr = float(np.max(np.abs(rec.values - sig.values)) / np.max(np.abs(sig.values)))

@@ -333,11 +333,12 @@ def test_every_admitted_d4_up_basis_verifies_and_transforms(tmp_path, capsys, na
     assert np.max(np.abs(rec - sig.values)) <= 1e-12 * np.max(np.abs(sig.values))
 
 
-def test_verify_signal_takes_a_level_at_every_admitted_basis_but_three():
+def test_verify_signal_takes_a_level_at_every_admitted_basis_but_two():
     # the perfect-reconstruction and energy-conservation rows run at least one
-    # wavelet level, except at these three (d, m), where the signal side
-    # verify takes gives none and they test the base packing only
-    base_only = {(2, 4), (3, 4), (4, 3)}
+    # wavelet level, except at these two (d, m), where neither the signal
+    # side verify takes nor its double within the d = 3, m = 3 signal's
+    # samples gives one, and they test the base packing only
+    base_only = {(3, 4), (4, 3)}
     admitted = []
     for d in range(1, MAX_ENUM_D + 1):
         for m in range(1, MAX_ENUM_M + 1):
@@ -347,7 +348,23 @@ def test_verify_signal_takes_a_level_at_every_admitted_basis_but_three():
                 continue
             admitted.append((d, m))
     assert len(admitted) == 18
-    assert {(d, m) for d, m in admitted if verify._signal_levels(d, m) == 0} == base_only
+    assert {(d, m) for d, m in admitted if verify._signal_grid(d, m)[1] == 0} == base_only
+    assert verify._signal_grid(2, 4) == (128, 1)
+
+
+def test_verify_signal_is_the_splitmix64_stream():
+    # the reference generator, seeded with 0, in Python integers; its first
+    # output is 0xE220A8397B1DCDAF
+    state, want = 0, []
+    for _ in range(3 * 5 * 7):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) % 2**64
+        want.append(((z ^ z >> 31) >> 11) / 2**52 - 1.0)
+    got = verify._test_signal((3, 5, 7))
+    assert got.dtype == np.float64 and got.shape == (3, 5, 7)
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want]
+    assert want[0] == (0xE220A8397B1DCDAF >> 11) / 2**52 - 1.0
 
 
 @pytest.mark.parametrize("d, m", [(4, 4), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)])
@@ -1117,18 +1134,19 @@ def test_cold_verify_builds_no_table_finer_than_j():
     assert _run_python(["-c", code]).stdout.strip() == "10"
 
 
-def test_cold_verify_leaves_numpy_ma_unimported():
+def test_cold_verify_leaves_numpy_ma_and_numpy_random_unimported():
     # grouping the Gram's tags with np.unique would import numpy.ma, about
-    # 1.5 MiB of peak memory in a cold CLI verify
+    # 1.5 MiB of peak memory in a cold CLI verify; a reconstruction signal
+    # drawn from numpy.random would import it, about 6.5 MB
     code = (
         "import sys\n"
         "from vecwave import scalar\n"
         "from vecwave.basisnd import build_basis_nd\n"
         "from vecwave.cli import run_verify\n"
         "assert run_verify(build_basis_nd(scalar.filter_by_name('db10'), 1, 2), 10, 'sampled').passed\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    assert _run_python(["-c", code]).stdout.strip() == "False"
+    assert _run_python(["-c", code]).stdout.strip() == "False False"
 
 
 def _overflow_probes(tmp_path):
